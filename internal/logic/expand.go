@@ -1,6 +1,9 @@
 package logic
 
-import "sort"
+import (
+	"math/bits"
+	"sort"
+)
 
 // MaxExpansions caps the number of maximal expansions enumerated for a
 // single cube; pathological blocking structures are truncated (the greedy
@@ -14,179 +17,147 @@ const MaxExpansions = 4096
 // The computation reduces to enumerating the minimal hitting sets of the
 // "blocking matrix": for each off cube o intersected with the current
 // expansion candidate, at least one variable on which seed conflicts with o
-// must keep its literal. Enumeration is capped at MaxExpansions.
+// must keep its literal. Rows and hitting sets are variable masks in the
+// cube's own bit layout. Enumeration is capped at MaxExpansions.
 func Expansions(seed Cube, off Cover) []Cube {
 	if seed.IsEmpty() {
 		return nil
 	}
-	n := seed.N()
-	// Variables bound in seed are the candidates for raising.
-	var boundVars []int
-	for i := 0; i < n; i++ {
-		if seed.Get(i) != Dash {
-			boundVars = append(boundVars, i)
-		}
-	}
-	// Build blocking rows: for each off cube, the set of seed variables that
-	// separate it (conflicting literal). An off cube with no separating
-	// variable intersects seed itself: no expansion exists.
-	free := seed
-	for _, v := range boundVars {
-		free = free.Free(v)
-	}
-	var rows [][]int
+	bound := seed.BoundVars()
+	// Blocking rows: for each off cube, the bound seed variables on which
+	// the two have no common value. An off cube with no such variable
+	// intersects seed itself: no expansion exists.
+	var rows []uint64
 	for _, o := range off.Cubes {
-		if !o.Intersects(free) {
-			continue // off cube cannot be reached even fully expanded
+		seed.checkArity(o)
+		if o.IsEmpty() {
+			continue // an empty off cube blocks nothing
 		}
-		var row []int
-		for _, v := range boundVars {
-			sv, ov := seed.Get(v), o.Get(v)
-			if (sv == Zero && ov == One) || (sv == One && ov == Zero) {
-				row = append(row, v)
-			}
-		}
-		if len(row) == 0 {
+		row := ^(seed.zero&o.zero | seed.one&o.one) & bound
+		if row == 0 {
 			return nil // seed intersects the off-set
 		}
 		rows = append(rows, row)
 	}
 	if len(rows) == 0 {
-		return []Cube{FullCube(n)}
+		return []Cube{FullCube(seed.N())}
 	}
 	hs := minimalHittingSets(rows, MaxExpansions)
-	out := make([]Cube, 0, len(hs))
-	for _, keep := range hs {
-		c := seed
-		for _, v := range boundVars {
-			if !keep[v] {
-				c = c.Free(v)
-			}
-		}
-		out = append(out, c)
+	out := make([]Cube, len(hs))
+	for i, keep := range hs {
+		drop := bound &^ keep
+		out[i] = Cube{zero: seed.zero | drop, one: seed.one | drop, n: seed.n}
 	}
 	return out
 }
 
 // minimalHittingSets enumerates minimal hitting sets of the given rows
-// (each row is a set of variable indices; a hitting set picks at least one
-// element of every row). The result is a list of "keep" sets. Enumeration is
+// (each row is a variable mask; a hitting set keeps at least one variable
+// of every row). The result is a list of "keep" masks. Enumeration is
 // capped at limit.
-func minimalHittingSets(rows [][]int, limit int) []map[int]bool {
-	// Sort rows by size: small rows first prunes better.
-	sorted := append([][]int(nil), rows...)
-	sort.Slice(sorted, func(i, j int) bool { return len(sorted[i]) < len(sorted[j]) })
+func minimalHittingSets(rows []uint64, limit int) []uint64 {
+	// Sort rows by size: small rows first prunes better. The enumeration
+	// order, and with it the dhf-prime order, depends on this exact
+	// permutation of equal-size rows, so the sort stays sort.Slice.
+	sorted := append([]uint64(nil), rows...)
+	sort.Slice(sorted, func(i, j int) bool {
+		return bits.OnesCount64(sorted[i]) < bits.OnesCount64(sorted[j])
+	})
 
-	var results []map[int]bool
-	var rec func(idx int, chosen map[int]bool)
-	rec = func(idx int, chosen map[int]bool) {
+	var results []uint64
+	var rec func(idx int, chosen uint64)
+	rec = func(idx int, chosen uint64) {
 		if len(results) >= limit {
 			return
 		}
-		// Skip rows already hit.
-		for idx < len(sorted) {
-			hit := false
-			for _, v := range sorted[idx] {
-				if chosen[v] {
-					hit = true
-					break
-				}
-			}
-			if !hit {
-				break
-			}
-			idx++
+		for idx < len(sorted) && sorted[idx]&chosen != 0 {
+			idx++ // row already hit
 		}
 		if idx == len(sorted) {
-			// Candidate complete; check minimality against found sets and
-			// record. Supersets of existing results are discarded.
+			// Candidate complete; supersets of found sets are discarded,
+			// and found supersets of the candidate are evicted.
 			for _, r := range results {
-				if subset(r, chosen) {
+				if r&^chosen == 0 {
 					return
 				}
 			}
-			cp := make(map[int]bool, len(chosen))
-			for k, v := range chosen {
-				if v {
-					cp[k] = true
-				}
-			}
-			// Remove any previously found supersets of cp.
-			var kept []map[int]bool
+			kept := results[:0]
 			for _, r := range results {
-				if !subset(cp, r) {
+				if chosen&^r != 0 {
 					kept = append(kept, r)
 				}
 			}
-			results = append(kept, cp)
+			results = append(kept, chosen)
 			return
 		}
-		for _, v := range sorted[idx] {
-			if chosen[v] {
-				continue
-			}
-			chosen[v] = true
-			rec(idx+1, chosen)
-			delete(chosen, v)
+		for row := sorted[idx]; row != 0; row &= row - 1 {
+			rec(idx+1, chosen|row&-row)
 			if len(results) >= limit {
 				return
 			}
 		}
 	}
-	rec(0, map[int]bool{})
+	rec(0, 0)
 	return results
-}
-
-func subset(a, b map[int]bool) bool {
-	if len(a) > len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
 }
 
 // PrimesContaining returns all prime implicants of the function whose
 // off-set is off (with everything else on or don't-care) that contain at
-// least one of the seed cubes. Duplicates are removed.
+// least one of the seed cubes, in the order the seeds' expansions first
+// produce them. Duplicates are removed, and so is a cube from one seed
+// contained in an expansion of another.
 func PrimesContaining(seeds []Cube, off Cover) []Cube {
-	seen := map[[2]uint64]bool{}
 	var out []Cube
 	for _, s := range seeds {
-		for _, p := range Expansions(s, off) {
-			k := p.Key()
-			if !seen[k] {
-				seen[k] = true
-				out = append(out, p)
-			}
-		}
+		out = append(out, Expansions(s, off)...)
 	}
-	// Drop non-maximal cubes (a cube from one seed may be contained in an
-	// expansion of another seed).
+	return Maximal(out)
+}
+
+// Maximal returns the cubes not strictly contained in another cube of the
+// list, with repeated cubes kept once, in their input order. The cubes
+// must be non-empty and of one arity.
+//
+// A container of a cube has strictly fewer literals, so visiting the cubes
+// by ascending literal count (a stable bucket pass) means every container
+// of a cube, and in particular a maximal one, is visited first. Testing
+// only against the maximal-so-far cubes makes the filter
+// O(len(cubes)·len(result)) instead of quadratic in the input.
+func Maximal(cubes []Cube) []Cube {
+	var start [MaxVars + 2]int
+	for _, c := range cubes {
+		start[c.Literals()+1]++
+	}
+	for i := 1; i < len(start); i++ {
+		start[i] += start[i-1]
+	}
+	order := make([]int, len(cubes))
+	for i, c := range cubes {
+		l := c.Literals()
+		order[start[l]] = i
+		start[l]++
+	}
+	isMax := make([]bool, len(cubes))
 	var maximal []Cube
-	for i, p := range out {
+	for _, i := range order {
+		c := cubes[i]
 		contained := false
-		for j, q := range out {
-			if i != j && q.Contains(p) && !p.Contains(q) {
+		for _, m := range maximal {
+			if m.Contains(c) {
 				contained = true
 				break
 			}
 		}
 		if !contained {
-			maximal = append(maximal, p)
+			isMax[i] = true
+			maximal = append(maximal, c)
 		}
 	}
-	// Deduplicate equal cubes kept twice by the asymmetric test above.
-	seen = map[[2]uint64]bool{}
-	var uniq []Cube
-	for _, p := range maximal {
-		if !seen[p.Key()] {
-			seen[p.Key()] = true
-			uniq = append(uniq, p)
+	out := maximal[:0]
+	for i, c := range cubes {
+		if isMax[i] {
+			out = append(out, c)
 		}
 	}
-	return uniq
+	return out
 }

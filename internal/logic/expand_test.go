@@ -1,7 +1,9 @@
 package logic
 
 import (
+	"math/bits"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -98,17 +100,310 @@ func TestPrimesContaining(t *testing.T) {
 }
 
 func TestMinimalHittingSets(t *testing.T) {
-	rows := [][]int{{0, 1}, {1, 2}}
+	rows := []uint64{0b011, 0b110} // {0,1}, {1,2}
 	hs := minimalHittingSets(rows, 100)
 	// Minimal hitting sets: {1}, {0,2}.
 	if len(hs) != 2 {
-		t.Fatalf("got %d hitting sets: %v", len(hs), hs)
+		t.Fatalf("got %d hitting sets: %b", len(hs), hs)
 	}
 	sizes := map[int]int{}
 	for _, h := range hs {
-		sizes[len(h)]++
+		sizes[bits.OnesCount64(h)]++
 	}
 	if sizes[1] != 1 || sizes[2] != 1 {
 		t.Errorf("hitting set sizes = %v, want one of size 1 and one of size 2", sizes)
+	}
+}
+
+// refExpansions and refMinimalHittingSets are the map-based enumerators
+// the mask versions replaced, kept as the ordering oracle: the
+// order of expansions sets the dhf-prime order, and with it the covering
+// columns and their tie-breaks, so the rewrite must reproduce it exactly.
+func refExpansions(seed Cube, off Cover) []Cube {
+	if seed.IsEmpty() {
+		return nil
+	}
+	n := seed.N()
+	var boundVars []int
+	for i := 0; i < n; i++ {
+		if seed.Get(i) != Dash {
+			boundVars = append(boundVars, i)
+		}
+	}
+	free := seed
+	for _, v := range boundVars {
+		free = free.Free(v)
+	}
+	var rows [][]int
+	for _, o := range off.Cubes {
+		if !o.Intersects(free) {
+			continue
+		}
+		var row []int
+		for _, v := range boundVars {
+			sv, ov := seed.Get(v), o.Get(v)
+			if (sv == Zero && ov == One) || (sv == One && ov == Zero) {
+				row = append(row, v)
+			}
+		}
+		if len(row) == 0 {
+			return nil
+		}
+		rows = append(rows, row)
+	}
+	if len(rows) == 0 {
+		return []Cube{FullCube(n)}
+	}
+	hs := refMinimalHittingSets(rows, MaxExpansions)
+	out := make([]Cube, 0, len(hs))
+	for _, keep := range hs {
+		c := seed
+		for _, v := range boundVars {
+			if !keep[v] {
+				c = c.Free(v)
+			}
+		}
+		out = append(out, c)
+	}
+	return out
+}
+
+func refMinimalHittingSets(rows [][]int, limit int) []map[int]bool {
+	sorted := append([][]int(nil), rows...)
+	sort.Slice(sorted, func(i, j int) bool { return len(sorted[i]) < len(sorted[j]) })
+
+	var results []map[int]bool
+	var rec func(idx int, chosen map[int]bool)
+	rec = func(idx int, chosen map[int]bool) {
+		if len(results) >= limit {
+			return
+		}
+		for idx < len(sorted) {
+			hit := false
+			for _, v := range sorted[idx] {
+				if chosen[v] {
+					hit = true
+					break
+				}
+			}
+			if !hit {
+				break
+			}
+			idx++
+		}
+		if idx == len(sorted) {
+			for _, r := range results {
+				if refSubset(r, chosen) {
+					return
+				}
+			}
+			cp := make(map[int]bool, len(chosen))
+			for k, v := range chosen {
+				if v {
+					cp[k] = true
+				}
+			}
+			var kept []map[int]bool
+			for _, r := range results {
+				if !refSubset(cp, r) {
+					kept = append(kept, r)
+				}
+			}
+			results = append(kept, cp)
+			return
+		}
+		for _, v := range sorted[idx] {
+			if chosen[v] {
+				continue
+			}
+			chosen[v] = true
+			rec(idx+1, chosen)
+			delete(chosen, v)
+			if len(results) >= limit {
+				return
+			}
+		}
+	}
+	rec(0, map[int]bool{})
+	return results
+}
+
+func refSubset(a, b map[int]bool) bool {
+	if len(a) > len(b) {
+		return false
+	}
+	for k := range a {
+		if !b[k] {
+			return false
+		}
+	}
+	return true
+}
+
+// refMaximal is the brute-force filter Maximal must agree with: first
+// occurrences, minus every cube strictly contained in another.
+func refMaximal(cubes []Cube) []Cube {
+	seen := map[[2]uint64]bool{}
+	var uniq []Cube
+	for _, c := range cubes {
+		if !seen[c.Key()] {
+			seen[c.Key()] = true
+			uniq = append(uniq, c)
+		}
+	}
+	var out []Cube
+	for i, p := range uniq {
+		contained := false
+		for j, q := range uniq {
+			if i != j && q.Contains(p) && !p.Contains(q) {
+				contained = true
+				break
+			}
+		}
+		if !contained {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+func sameCubes(a, b []Cube) bool {
+	if len(a) != len(b) || (a == nil) != (b == nil) {
+		return false
+	}
+	for i := range a {
+		if a[i].N() != b[i].N() || a[i].Key() != b[i].Key() {
+			return false
+		}
+	}
+	return true
+}
+
+// blockingInstance draws a seed over up to 64 variables and an off-set
+// of up to 15 cubes. Each off cube conflicts with the seed on one to three
+// of its bound variables (rows overlap when the seed binds few), and
+// rarely on none, which makes the seed infeasible. Row widths are capped
+// so the product of widths, which bounds the enumeration's leaves, stays
+// at most 4096: the map-based reference is too slow for more.
+func blockingInstance(rr *rand.Rand) (Cube, Cover) {
+	n := 1 + rr.Intn(MaxVars)
+	seed := FullCube(n)
+	var bound []int
+	for i := 0; i < n; i++ {
+		if rr.Intn(10) < 7 {
+			seed = seed.With(i, Val(rr.Intn(2)))
+			bound = append(bound, i)
+		}
+	}
+	off := NewCover(n)
+	if len(bound) == 0 {
+		return seed, off
+	}
+	leaves := 1
+	for k := rr.Intn(16); k > 0; k-- {
+		o := FullCube(n)
+		for i := 0; i < n; i++ {
+			if rr.Intn(16) == 0 {
+				if v := seed.Get(i); v != Dash {
+					o = o.With(i, v) // narrows o without widening its row
+				} else {
+					o = o.With(i, Val(rr.Intn(2)))
+				}
+			}
+		}
+		c := 1 + rr.Intn(3)
+		if rr.Intn(32) == 0 {
+			c = 0
+		}
+		for c > 1 && leaves*c > 4096 {
+			c--
+		}
+		leaves *= max(c, 1)
+		for ; c > 0; c-- {
+			v := bound[rr.Intn(len(bound))]
+			o = o.With(v, 1-seed.Get(v))
+		}
+		off.Add(o)
+	}
+	return seed, off
+}
+
+func TestExpansionsMatchReference(t *testing.T) {
+	rr := rand.New(rand.NewSource(1))
+	nonTrivial := 0
+	for i := 0; i < 400; i++ {
+		seed, off := blockingInstance(rr)
+		got, want := Expansions(seed, off), refExpansions(seed, off)
+		if !sameCubes(got, want) {
+			t.Fatalf("instance %d: seed %s off %v:\n got %v\nwant %v", i, seed, off.Cubes, got, want)
+		}
+		if len(got) > 1 {
+			nonTrivial++
+		}
+	}
+	if nonTrivial < 100 {
+		t.Fatalf("only %d of 400 instances had several expansions", nonTrivial)
+	}
+}
+
+// TestExpansionsTruncatedPrefix compares the truncated enumeration: 13
+// disjoint two-variable rows have 2^13 = 8192 minimal hitting sets, so
+// both enumerators stop at MaxExpansions and must keep the same prefix.
+func TestExpansionsTruncatedPrefix(t *testing.T) {
+	const rows = 13
+	seed := FullCube(2 * rows)
+	off := NewCover(2 * rows)
+	for r := 0; r < rows; r++ {
+		seed = seed.With(2*r, Zero).With(2*r+1, One)
+		off.Add(FullCube(2*rows).With(2*r, One).With(2*r+1, Zero))
+	}
+	got, want := Expansions(seed, off), refExpansions(seed, off)
+	if len(got) != MaxExpansions {
+		t.Fatalf("got %d expansions, want the %d-expansion cap", len(got), MaxExpansions)
+	}
+	if !sameCubes(got, want) {
+		t.Fatal("truncated expansion prefix differs from the reference")
+	}
+}
+
+func TestPrimesContainingMatchesReference(t *testing.T) {
+	rr := rand.New(rand.NewSource(2))
+	for i := 0; i < 200; i++ {
+		seed, off := blockingInstance(rr)
+		seeds := []Cube{seed}
+		for k := rr.Intn(4); k > 0; k-- {
+			s := seed
+			for v := 0; v < s.N(); v++ {
+				if s.Get(v) != Dash && rr.Intn(4) == 0 {
+					s = s.With(v, 1-s.Get(v))
+				}
+			}
+			seeds = append(seeds, s)
+		}
+		var all []Cube
+		for _, s := range seeds {
+			all = append(all, refExpansions(s, off)...)
+		}
+		if got, want := PrimesContaining(seeds, off), refMaximal(all); !sameCubes(got, want) {
+			t.Fatalf("instance %d: got %v, want %v", i, got, want)
+		}
+	}
+}
+
+func TestMaximalMatchesBruteForce(t *testing.T) {
+	rr := rand.New(rand.NewSource(3))
+	for i := 0; i < 500; i++ {
+		n := 1 + rr.Intn(8)
+		var cubes []Cube
+		for k := rr.Intn(24); k > 0; k-- {
+			if len(cubes) > 0 && rr.Intn(5) == 0 {
+				cubes = append(cubes, cubes[rr.Intn(len(cubes))]) // repeat
+				continue
+			}
+			cubes = append(cubes, randomCube(rr, n))
+		}
+		if got, want := Maximal(cubes), refMaximal(cubes); !sameCubes(got, want) {
+			t.Fatalf("instance %d: Maximal(%v) = %v, want %v", i, cubes, got, want)
+		}
 	}
 }

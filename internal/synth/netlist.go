@@ -9,6 +9,10 @@ import (
 	"repro/internal/logic"
 )
 
+// verilogIdent maps signal names onto Verilog identifiers. A Replacer is
+// safe for concurrent use, so one serves every rendering.
+var verilogIdent = strings.NewReplacer("-", "_", "+", "p", "*", "m", "<", "lt", ">", "gt", "=", "eq", ";", "_", " ", "_", ":", "_")
+
 // Verilog renders the synthesized controller as a structural Verilog
 // module: two-level sum-of-products per output and next-state function,
 // with the state variables fed back through (zero-delay) continuous
@@ -20,11 +24,7 @@ func Verilog(m *bm.Machine, res *Result) (string, error) {
 	}
 	vars, _ := variableOrder(c, res.StateBits, res.OutputFeedback)
 	var b strings.Builder
-
-	san := func(s string) string {
-		r := strings.NewReplacer("-", "_", "+", "p", "*", "m", "<", "lt", ">", "gt", "=", "eq", ";", "_", " ", "_", ":", "_")
-		return r.Replace(s)
-	}
+	san := verilogIdent.Replace
 
 	inputs := append([]string{}, c.Inputs...)
 	outputs := append([]string{}, c.Outputs...)

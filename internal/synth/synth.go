@@ -325,6 +325,53 @@ func synthesizeWith(ctx context.Context, c *Concrete, enc map[int]uint64, bits i
 		}
 	}
 
+	// The cubes a transition traverses depend on the encoding, not on the
+	// function, so they are built once per attempt. Phase 1: the input
+	// burst completes; outputs and state bits change at completion. Burst
+	// signals start at the opposite of their arriving edge (an unobserved
+	// return-to-zero may have moved them off the stale nominal level).
+	// Phase 2: the fed-back outputs and the state bits settle to their
+	// post-transition values while inputs rest at their nominal post-burst
+	// levels. All known inputs are bound (no directed don't-cares here): a
+	// dashed wire would cover the burst-completion point of the next
+	// transition and falsely conflict with its rising output. The settle is
+	// monotone — rising variables first, then falling — so the traversed
+	// cubes avoid unrelated total states (the all-zero code in particular).
+	type transGeom struct {
+		start, endInputs logic.Cube      // phase 1
+		settle           [][2]logic.Cube // phase 2: the non-degenerate legs
+	}
+	geoms := make([]transGeom, len(c.Trans))
+	for i, t := range c.Trans {
+		from := c.States[t.From]
+		g := &geoms[i]
+		g.start = bindState(baseCube(c, from, t, vars, varIdx), enc[t.From], bits, n)
+		g.endInputs = g.start
+		for _, e := range t.In {
+			g.start = g.start.With(varIdx[e.Signal], oppositeVal(e.Edge))
+			g.endInputs = g.endInputs.With(varIdx[e.Signal], edgeVal(e.Edge))
+		}
+		sStart, sMid, sEnd := settleCubes(c, from, t, enc, bits, n, varIdx)
+		for _, leg := range [][2]logic.Cube{{sStart, sMid}, {sMid, sEnd}} {
+			if !leg[0].Equal(leg[1]) {
+				g.settle = append(g.settle, leg)
+			}
+		}
+	}
+	holds := make([]logic.Cube, len(terminals))
+	for i, sid := range terminals {
+		holds[i] = bindState(logic.FullCube(n), enc[sid], bits, n)
+		if feedback {
+			for _, sig := range c.Outputs {
+				if v, ok := varIdx[sig]; ok {
+					if lvl := levelOf(c.States[sid], sig); lvl >= 0 {
+						holds[i] = holds[i].With(v, boolVal(lvl == 1))
+					}
+				}
+			}
+		}
+	}
+
 	// The span ends with the closure's actual error outcome (named return),
 	// so failed minimizations are attributed in traces instead of reading
 	// as clean spans. The span's unit field identifies the controller and
@@ -335,20 +382,10 @@ func synthesizeWith(ctx context.Context, c *Concrete, enc map[int]uint64, bits i
 		defer func() { fnSp.EndErr(err) }()
 		obs.Add("hfmin/minimizations", 1)
 		spec := hfmin.Spec{N: n}
-		for _, t := range c.Trans {
+		for i, t := range c.Trans {
+			g := &geoms[i]
 			from := c.States[t.From]
 			cFrom, cTo := enc[t.From], enc[t.To]
-			start := bindState(baseCube(c, from, t, vars, varIdx), cFrom, bits, n)
-			// Phase 1: the input burst completes; outputs and state bits
-			// change at completion. Burst signals start at the opposite of
-			// their arriving edge (an unobserved return-to-zero may have
-			// moved them off the stale nominal level).
-			endInputs := start
-			for _, e := range t.In {
-				start = start.With(varIdx[e.Signal], oppositeVal(e.Edge))
-				endInputs = endInputs.With(varIdx[e.Signal], edgeVal(e.Edge))
-			}
-
 			var kind hfmin.Kind
 			switch {
 			case f.out != "":
@@ -356,57 +393,31 @@ func synthesizeWith(ctx context.Context, c *Concrete, enc map[int]uint64, bits i
 			default:
 				kind = bitKind(cFrom, cTo, f.ybit)
 			}
-			if isDynamic(kind) && start.Equal(endInputs) {
+			if isDynamic(kind) && g.start.Equal(g.endInputs) {
 				// No input changes (pure conditional transition folded at a
 				// join): the change rides the state-change phase instead.
 				kind = staticOf(kind, false)
 			}
-			if t1, ok := mkTrans(start, endInputs, kind); ok {
+			if t1, ok := mkTrans(g.start, g.endInputs, kind); ok {
 				spec.Transitions = append(spec.Transitions, t1)
 			}
-			// Phase 2: the fed-back outputs and the state bits settle to
-			// their post-transition values while inputs rest at their
-			// nominal post-burst levels. All known inputs are bound (no
-			// directed don't-cares here): a dashed wire would cover the
-			// burst-completion point of the next transition and falsely
-			// conflict with its rising output. The settle is monotone —
-			// rising variables first, then falling — so the traversed cubes
-			// avoid unrelated total states (the all-zero code in
-			// particular). Every function is static at its new value during
-			// the settle.
-			sStart, sMid, sEnd := settleCubes(c, from, t, enc, bits, n, varIdx)
-			if !sStart.Equal(sEnd) {
-				var k2 hfmin.Kind
-				if f.out != "" {
-					k2 = staticLevel(levelAfter(from, t, f.out))
-				} else {
-					k2 = bitPhase2Kind(cFrom, cTo, f.ybit)
-				}
-				for _, leg := range [][2]logic.Cube{{sStart, sMid}, {sMid, sEnd}} {
-					if leg[0].Equal(leg[1]) {
-						continue
-					}
-					if t2, ok := mkTrans(leg[0], leg[1], k2); ok {
-						spec.Transitions = append(spec.Transitions, t2)
-					}
+			// Every function is static at its new value during the settle.
+			var k2 hfmin.Kind
+			if f.out != "" {
+				k2 = staticLevel(levelAfter(from, t, f.out))
+			} else {
+				k2 = bitPhase2Kind(cFrom, cTo, f.ybit)
+			}
+			for _, leg := range g.settle {
+				if t2, ok := mkTrans(leg[0], leg[1], k2); ok {
+					spec.Transitions = append(spec.Transitions, t2)
 				}
 			}
 		}
-		for _, sid := range terminals {
-			st := c.States[sid]
-			cube := bindState(logic.FullCube(n), enc[sid], bits, n)
-			if feedback {
-				for _, sig := range c.Outputs {
-					if i, ok := varIdx[sig]; ok {
-						if lvl := levelOf(st, sig); lvl >= 0 {
-							cube = cube.With(i, boolVal(lvl == 1))
-						}
-					}
-				}
-			}
+		for i, sid := range terminals {
 			var kind hfmin.Kind
 			if f.out != "" {
-				lvl := levelOf(st, f.out)
+				lvl := levelOf(c.States[sid], f.out)
 				if lvl < 0 {
 					continue // resting level unknown (toggle wire): no hold
 				}
@@ -414,7 +425,7 @@ func synthesizeWith(ctx context.Context, c *Concrete, enc map[int]uint64, bits i
 			} else {
 				kind = staticLevel(b2i(enc[sid]&(1<<uint(f.ybit)) != 0))
 			}
-			if tHold, ok := mkTrans(cube, cube, kind); ok {
+			if tHold, ok := mkTrans(holds[i], holds[i], kind); ok {
 				spec.Transitions = append(spec.Transitions, tHold)
 			}
 		}

@@ -10,8 +10,20 @@ echo "== go build"
 go build ./...
 echo "== go vet"
 go vet ./...
+echo "== gofmt (every Go file formatted; perfbench/run.sh build output excluded)"
+unformatted=$(find . -name '*.go' -not -path './.bench_build/*' -print0 | xargs -0 gofmt -l)
+if [ -n "$unformatted" ]; then
+	echo "verify: gofmt -l lists files that need formatting:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 echo "== checkdoc (package docs + frontend/gen exported-identifier docs)"
 go run ./scripts/checkdoc
+echo "== synthesis bytes vs parent (golden synthesis documents of every"
+echo "   registry design, written by an earlier version, and the mask"
+echo "   enumerators checked in order against the map-based reference)"
+go test -run '^TestGoldenSynthesis$' -count=1 ./internal/codec
+go test -run '^Test(MinimalHittingSets|ExpansionsMatchReference|ExpansionsTruncatedPrefix|PrimesContainingMatchesReference|MaximalMatchesBruteForce)$' -count=1 ./internal/logic
 echo "== go test -race"
 # 20m: the default 10m per-package budget is too tight for
 # internal/search under the race detector once the loadtest package's
