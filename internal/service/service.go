@@ -178,8 +178,9 @@ type Config struct {
 	// that job instead of admitting a new one, counted by
 	// service/dedup_hits. The codec's deterministic encoding makes the
 	// key canonical, so two users posting the same CDFG share one
-	// pipeline run. Terminal jobs never match — resubmitting a finished
-	// document is a fresh (memo-cache-warm) job.
+	// pipeline run, which only the last of their cancellations cancels.
+	// Terminal jobs never match — resubmitting a finished document is a
+	// fresh (memo-cache-warm) job.
 	Dedup bool
 	// NodeID, when non-empty, suffixes every job ID with "@<NodeID>" so a
 	// fleet peer receiving a poll for a foreign job can route it to the
@@ -227,6 +228,7 @@ type Job struct {
 	result []byte
 	cancel context.CancelFunc
 	done   chan struct{}
+	subs   int // submissions sharing the job through dedup
 
 	submitted time.Time
 	finished  time.Time
@@ -280,6 +282,17 @@ func (j *Job) setStage(s string) {
 	j.mu.Lock()
 	j.stage = s
 	j.mu.Unlock()
+}
+
+// join adds a dedup'd submission to the job unless it has finished.
+func (j *Job) join() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.state.Terminal() {
+		return false
+	}
+	j.subs++
+	return true
 }
 
 // finish moves the job to a terminal state exactly once.
@@ -392,7 +405,7 @@ func (m *Manager) SubmitKeyed(graph *cdfg.Graph, level core.Level, mode Mode, ke
 	}
 	if m.cfg.Dedup {
 		if prior, ok := m.byKey[key]; ok {
-			if !prior.State().Terminal() {
+			if prior.join() {
 				obs.Add("service/dedup_hits", 1)
 				return prior, nil
 			}
@@ -412,6 +425,7 @@ func (m *Manager) SubmitKeyed(graph *cdfg.Graph, level core.Level, mode Mode, ke
 		events:    newEventLog(),
 		state:     StateQueued,
 		done:      make(chan struct{}),
+		subs:      1,
 		submitted: time.Now(),
 	}
 	select {
@@ -459,7 +473,10 @@ func (m *Manager) Get(id string) (*Job, error) {
 // Cancel requests cancellation of a job. A queued job becomes cancelled
 // immediately; a running job has its context cancelled and reaches the
 // cancelled state once the pipeline observes it. Cancelling a terminal
-// job is a no-op. The updated job is returned either way.
+// job is a no-op. A job that dedup gave to several submissions is
+// cancelled by the last of their cancellations; each earlier one only
+// drops its claim, so one client cannot cancel another client's run.
+// The updated job is returned either way.
 func (m *Manager) Cancel(id string) (*Job, error) {
 	job, err := m.Get(id)
 	if err != nil {
@@ -467,6 +484,9 @@ func (m *Manager) Cancel(id string) (*Job, error) {
 	}
 	job.mu.Lock()
 	switch {
+	case job.subs > 1 && !job.state.Terminal():
+		job.subs--
+		job.mu.Unlock()
 	case job.state == StateQueued:
 		// The job stays in the channel; the runner skips terminal jobs.
 		job.state = StateCancelled

@@ -215,6 +215,71 @@ func TestCancelFreesWorkersWithoutFailingOthers(t *testing.T) {
 	}
 }
 
+// TestDedupCancelKeepsOtherSubmission: when dedup hands one job to two
+// submissions, one cancellation must not kill the other's run; the job
+// completes byte-identical to a direct run. Only the last claim's
+// cancellation cancels.
+func TestDedupCancelKeepsOtherSubmission(t *testing.T) {
+	submit := func(m *Manager) *Job {
+		t.Helper()
+		job, err := m.Submit(diffeq.Build(diffeq.DefaultParams()), core.OptimizedGTLT)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return job
+	}
+
+	min := &gateMin{gate: make(chan struct{})}
+	m := New(Config{Concurrency: 1, Dedup: true, Minimizer: min})
+	defer m.Close()
+	a, b := submit(m), submit(m)
+	if a != b {
+		t.Fatalf("dedup gave %s and %s, want one job", a.ID(), b.ID())
+	}
+	if _, err := m.Cancel(a.ID()); err != nil {
+		t.Fatal(err)
+	}
+	if a.State().Terminal() {
+		t.Fatalf("one of two submissions cancelled the shared job: %v", a.State())
+	}
+	close(min.gate)
+	<-a.Done()
+	if a.State() != StateDone {
+		t.Fatalf("shared job ended %v (%v), want done", a.State(), a.Err())
+	}
+	direct, err := core.Run(diffeq.Build(diffeq.DefaultParams()), core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := direct.SynthesizeLogic()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := codec.EncodeSynthesis(direct, results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Result(), want) {
+		t.Fatal("shared job's document differs from the direct run")
+	}
+
+	m2 := New(Config{Concurrency: 1, Dedup: true, Minimizer: &gateMin{gate: make(chan struct{})}})
+	defer m2.Close()
+	c, d := submit(m2), submit(m2)
+	if c != d {
+		t.Fatalf("dedup gave %s and %s, want one job", c.ID(), d.ID())
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := m2.Cancel(c.ID()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-c.Done()
+	if c.State() != StateCancelled {
+		t.Fatalf("job ended %v after both submissions cancelled, want cancelled", c.State())
+	}
+}
+
 func TestCancelQueuedJobNeverRuns(t *testing.T) {
 	min := &gateMin{gate: make(chan struct{})}
 	m := New(Config{Concurrency: 1, QueueDepth: 2, Minimizer: min})
