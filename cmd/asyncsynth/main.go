@@ -35,11 +35,12 @@
 //	                   for CPU/heap/goroutine profiling while running
 //
 // Hazard-free minimization — the dominant pipeline cost — is memoized
-// through a content-addressed cache (internal/memo). In-memory memoization
-// is on by default; -cache-dir persists solved problems across runs and
-// -no-cache disables the layer. Results are bit-identical either way; the
-// -metrics table's memo/hits, memo/misses, memo/dedup-waits and
-// memo/disk-hits counters show the cache's effect.
+// through a content-addressed cache (internal/memo), in memory by
+// default; -cache-dir persists solved problems across runs, in the same
+// directory format asyncsynthd uses, and -cache-max-bytes caps it.
+// Results are bit-identical either way; the -metrics table's memo/hits,
+// memo/misses, memo/dedup-waits and memo/disk-hits counters show the
+// cache's effect.
 //
 // Benchmarks come from the internal/bench registry: diffeq (default),
 // gcd, fir, plus ewf and ar compiled from the ADL sources in examples/.
@@ -86,18 +87,16 @@ var (
 	pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	cacheDir    = flag.String("cache-dir", "", "persist hazard-free minimization results under this directory (warm runs skip re-solving)")
 	cacheMax    = flag.Int64("cache-max-bytes", 0, "cap the on-disk cache at this many bytes, evicting oldest entries first (0 = unbounded)")
-	noCache     = flag.Bool("no-cache", false, "disable hazard-free minimization memoization entirely")
 	solverName  = flag.String("solver", "bb", "covering backend for exact hazard-free minimization: bb, pb, portfolio or greedy")
 )
 
 // minimizer is the process-wide hfmin memoization cache built from
-// -cache-dir/-no-cache; nil when -no-cache. A typed nil *memo.Cache must
-// not leak into the synth.Minimizer interface, hence the indirection.
+// -cache-dir and -cache-max-bytes.
 var minimizer synth.Minimizer
 
 // coverSolver is the covering backend parsed from -solver; it configures
-// both the memo cache (backend is part of the cache key) and the direct
-// hfmin path used under -no-cache.
+// the memo cache (the backend is part of the cache key) and the pipeline
+// options.
 var coverSolver logic.Solver
 
 func main() { os.Exit(run()) }
@@ -129,15 +128,13 @@ func run() int {
 		usage()
 		return 2
 	}
-	if !*noCache {
-		cache, err := memo.NewSolver(*cacheDir, coverSolver)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "asyncsynth:", err)
-			return 1
-		}
-		cache.SetMaxBytes(*cacheMax)
-		minimizer = cache
+	store, err := memo.NewStore(*cacheDir)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "asyncsynth:", err)
+		return 1
 	}
+	store.SetMaxBytes(*cacheMax)
+	minimizer = memo.OnStore(store, coverSolver)
 	cmd := flag.Arg(0)
 	args := flag.Args()[1:]
 	switch cmd {
@@ -260,8 +257,6 @@ flags:
                             warm runs load them instead of re-solving
   -cache-max-bytes N        cap the on-disk cache at N bytes, evicting the
                             oldest entries first (0 = unbounded, default)
-  -no-cache                 disable minimization memoization (results are
-                            identical either way; only wall time changes)
   -solver name              covering backend for exact minimization:
                             bb (default), pb, portfolio (results identical
                             to bb) or greedy (heuristic, inexact)
@@ -298,8 +293,7 @@ source file anywhere a benchmark name is accepted`)
 }
 
 // defaultOpts is core.DefaultOptions with the -j worker-pool bound, the
-// -cache-dir/-no-cache minimization cache and the -solver covering backend
-// applied.
+// -cache-dir minimization cache and the -solver covering backend applied.
 func defaultOpts() core.Options {
 	opt := core.DefaultOptions()
 	opt.Parallelism = *jWorkers

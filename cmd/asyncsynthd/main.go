@@ -6,8 +6,7 @@
 //
 //	asyncsynthd [-addr host:port] [-queue-depth N] [-concurrency N]
 //	            [-j N] [-job-timeout D] [-drain-timeout D]
-//	            [-cache-dir dir] [-cache-max-bytes N] [-no-cache]
-//	            [-no-stage] [-no-dedup]
+//	            [-cache-dir dir] [-cache-max-bytes N] [-no-dedup]
 //	            [-self URL] [-peers URL,URL,...] [-cache-peers URL,...]
 //	            [-cache-timeout D] [-health-interval D]
 //
@@ -44,12 +43,14 @@
 //
 // Submissions beyond -queue-depth are rejected immediately with 429 —
 // backpressure is applied at admission, never by queueing unbounded work.
-// All jobs share one hazard-free-minimization memo cache and divide the
-// -j worker budget across -concurrency runners. Identical concurrent
-// submissions collapse onto one job (request-level dedup; -no-dedup
-// restores a run per request). On SIGINT/SIGTERM the daemon stops
-// admitting, finishes queued and running jobs (bounded by -drain-timeout,
-// then force-cancels), and exits.
+// All jobs share one cache (internal/memo's Store) holding both the
+// hazard-free-minimization records and the incremental stage engine's
+// payloads — in one -cache-dir directory under one -cache-max-bytes cap
+// when persisted — and divide the -j worker budget across -concurrency
+// runners. Identical concurrent submissions collapse onto one job
+// (request-level dedup; -no-dedup restores a run per request). On
+// SIGINT/SIGTERM the daemon stops admitting, finishes queued and running
+// jobs (bounded by -drain-timeout, then force-cancels), and exits.
 //
 // # Fleet mode
 //
@@ -57,9 +58,10 @@
 // set (plus its own, via -self or inferred from the bound listener).
 // Submissions are then routed by content hash on a consistent ring so
 // identical documents meet at one owner, polls for a foreign job ID are
-// proxied to its node, and each node's memo cache pulls solved records
-// from its peers before recomputing. Peers are health-checked every
-// -health-interval; a dead owner degrades submissions to local execution.
+// proxied to its node, and each node's cache pulls minimization records
+// and stage payloads from its peers before recomputing. Peers are
+// health-checked every -health-interval; a dead owner degrades
+// submissions to local execution.
 //
 // The daemon prints "listening on http://ADDR" on stdout once the socket
 // is bound; with -addr 127.0.0.1:0 the kernel picks a free port and
@@ -74,7 +76,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -85,7 +86,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/stage"
-	"repro/internal/synth"
 )
 
 var (
@@ -96,9 +96,7 @@ var (
 	jobTimeout   = flag.Duration("job-timeout", 0, "per-job deadline (0 = none)")
 	drainTimeout = flag.Duration("drain-timeout", 60*time.Second, "how long shutdown waits for in-flight jobs before force-cancelling")
 	cacheDir     = flag.String("cache-dir", "", "persist minimization results and stage payloads under this directory")
-	cacheMax     = flag.Int64("cache-max-bytes", 0, "cap each on-disk cache at this many bytes, evicting oldest entries (0 = unbounded)")
-	noCache      = flag.Bool("no-cache", false, "disable the shared minimization memo cache")
-	noStage      = flag.Bool("no-stage", false, "disable the incremental stage engine (every job recomputes all pipeline stages)")
+	cacheMax     = flag.Int64("cache-max-bytes", 0, "cap the on-disk cache at this many bytes, evicting oldest entries (0 = unbounded)")
 	noDedup      = flag.Bool("no-dedup", false, "disable request-level dedup of identical submissions")
 	solverName   = flag.String("solver", "bb", "covering backend for exact hazard-free minimization: bb, pb, portfolio or greedy")
 
@@ -168,43 +166,17 @@ func run() int {
 		defer peers.Close()
 	}
 
-	var minimizer synth.Minimizer
-	var cache *memo.Cache
-	fillPeers := append(append([]string{}, peerURLs...), cachePeerURLs...)
-	if !*noCache {
-		cache, err = memo.NewSolver(*cacheDir, solver)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "asyncsynthd:", err)
-			return 1
-		}
-		cache.SetMaxBytes(*cacheMax)
-		if len(fillPeers) > 0 {
-			cache.SetRemote(fleet.NewCacheClient(fillPeers, peers, fleet.CacheClientOptions{}), *cacheTimeout)
-		}
-		minimizer = cache
+	// One store holds the minimization records and the stage payloads:
+	// one directory, one byte cap, and one remote tier pulling both kinds
+	// from the peers over the /v1/cache/{key} endpoint it also serves.
+	store, err := memo.NewStore(*cacheDir)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "asyncsynthd:", err)
+		return 1
 	}
-
-	// The stage engine persists its payloads next to the minimization
-	// records (a "stage" subdirectory) when -cache-dir is set, and pulls
-	// missing stage blobs from the same peers over the shared
-	// /v1/cache/{key} endpoint.
-	var store *memo.Store
-	var engine *stage.Engine
-	if !*noStage {
-		stageDir := ""
-		if *cacheDir != "" {
-			stageDir = filepath.Join(*cacheDir, "stage")
-		}
-		store, err = memo.NewStore(stageDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "asyncsynthd:", err)
-			return 1
-		}
-		store.SetMaxBytes(*cacheMax)
-		if len(fillPeers) > 0 {
-			store.SetRemote(fleet.NewCacheClient(fillPeers, peers, fleet.CacheClientOptions{}), *cacheTimeout)
-		}
-		engine = stage.New(store)
+	store.SetMaxBytes(*cacheMax)
+	if fillPeers := append(append([]string{}, peerURLs...), cachePeerURLs...); len(fillPeers) > 0 {
+		store.SetRemote(fleet.NewCacheClient(fillPeers, peers, fleet.CacheClientOptions{}), *cacheTimeout)
 	}
 
 	cfg := service.Config{
@@ -212,8 +184,8 @@ func run() int {
 		Concurrency: *concurrency,
 		Parallelism: *jWorkers,
 		JobTimeout:  *jobTimeout,
-		Minimizer:   minimizer,
-		Engine:      engine,
+		Minimizer:   memo.OnStore(store, solver),
+		Engine:      stage.New(store),
 		Solver:      solver,
 		Dedup:       !*noDedup,
 	}
@@ -226,8 +198,7 @@ func run() int {
 		Self:  self,
 		Nodes: append([]string{self}, peerURLs...),
 		Peers: peers,
-		Cache: cache,
-		Blobs: store,
+		Store: store,
 	})
 
 	fmt.Printf("listening on http://%s\n", ln.Addr())

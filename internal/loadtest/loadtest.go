@@ -461,10 +461,12 @@ type RunOptions struct {
 	JobTimeout time.Duration
 	// CrossVerify adds a final phase that re-runs each document on a node
 	// that does NOT own it (the forward header pins execution locally):
-	// the non-owner's memo cache must fill over the remote tier from
-	// whichever peer solved the document, and the re-served bytes must
-	// still match the direct run. This is what makes cross-node cache
-	// hits (memo/remote/hits) deterministically observable.
+	// the non-owner's cache must fill over the remote tier from whichever
+	// peer solved the document, and the re-served bytes must still match
+	// the direct run. This is what makes cross-node cache hits
+	// observable: whole stage payloads (blob/remote/hits) when the peer
+	// holds the controller's synthesis, hfmin records (memo/remote/hits)
+	// when the re-run recomputes a stage.
 	CrossVerify bool
 }
 
@@ -483,12 +485,13 @@ type Report struct {
 	P95Ms float64 `json:"p95_ms"`
 	P99Ms float64 `json:"p99_ms"`
 
-	MaxQueueDepth int64 `json:"max_queue_depth"`
-	RemoteHits    int64 `json:"remote_hits"`
-	RemoteCorrupt int64 `json:"remote_corrupt"`
-	Forwarded     int64 `json:"forwarded"`
-	Fallbacks     int64 `json:"forward_fallbacks"`
-	DedupHits     int64 `json:"dedup_hits"`
+	MaxQueueDepth  int64 `json:"max_queue_depth"`
+	RemoteHits     int64 `json:"remote_hits"`      // hfmin records (memo/remote/hits)
+	BlobRemoteHits int64 `json:"blob_remote_hits"` // stage payloads (blob/remote/hits)
+	RemoteCorrupt  int64 `json:"remote_corrupt"`
+	Forwarded      int64 `json:"forwarded"`
+	Fallbacks      int64 `json:"forward_fallbacks"`
+	DedupHits      int64 `json:"dedup_hits"`
 
 	CrossVerified int `json:"cross_verified"`
 
@@ -775,6 +778,7 @@ func Run(f *Fleet, docs []Doc, opt RunOptions) *Report {
 			continue
 		}
 		rep.RemoteHits += counters["memo/remote/hits"]
+		rep.BlobRemoteHits += counters["blob/remote/hits"]
 		rep.RemoteCorrupt += counters["memo/remote/corrupt"]
 		rep.Forwarded += counters["fleet/forwarded"]
 		rep.Fallbacks += counters["fleet/forward_fallbacks"]

@@ -211,8 +211,10 @@ func TestFleetSustainedLoad(t *testing.T) {
 	if rep.CrossVerified == 0 {
 		t.Error("cross-verify phase checked nothing")
 	}
-	if rep.RemoteHits == 0 {
-		t.Error("no cross-node remote cache hits observed (memo/remote/hits)")
+	// hfmin records and stage payloads share one remote tier: a re-run
+	// that fills whole stage payloads from a peer poses no hfmin lookup.
+	if rep.RemoteHits+rep.BlobRemoteHits == 0 {
+		t.Error("no cross-node remote cache hits observed (memo/remote/hits + blob/remote/hits)")
 	}
 	if rep.RemoteCorrupt == 0 {
 		t.Error("corrupt cache peer payloads were never rejected (memo/remote/corrupt)")

@@ -10,12 +10,12 @@ import (
 	"repro/internal/obs"
 )
 
-// The disk layers (Cache's hfmin records, Store's stage blobs) grow
-// without bound across long daemon runs: every new design adds records
-// and nothing removes them. dirCap bounds one cache directory to a byte
-// budget with oldest-entry eviction — entries are content-addressed and
-// regenerable, so deleting the least-recently-written files can only
-// cost a recompute, never correctness.
+// The disk tier grows without bound across long daemon runs: every new
+// design adds hfmin records and stage payloads, and nothing removes
+// them. dirCap bounds the store's directory, both kinds together, to one
+// byte budget with oldest-entry eviction — entries are content-addressed
+// and regenerable, so deleting the least-recently-written files can
+// only cost a recompute, never correctness.
 //
 // A sweep (re-stat the directory, delete oldest until under budget) runs
 // on the first write and then whenever the bytes written since the last
@@ -109,14 +109,6 @@ func (d *dirCap) sweep() {
 	if evicted > 0 {
 		obs.Add("memo/evictions", evicted)
 	}
-}
-
-// SetMaxBytes caps the cache's disk directory at n bytes with
-// oldest-entry eviction (0 or negative disables the cap, the default).
-// Like SetRemote it is not synchronized with in-flight lookups: set the
-// cap at startup, before sharing the cache.
-func (c *Cache) SetMaxBytes(n int64) {
-	c.cap = newDirCap(c.dir, n)
 }
 
 // SetMaxBytes caps the store's disk directory at n bytes with

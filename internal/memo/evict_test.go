@@ -71,7 +71,7 @@ func TestStoreEviction(t *testing.T) {
 	past := time.Now().Add(-time.Hour)
 	for i, name := range old {
 		key := blobKey(name)
-		path := s.blobPath(key)
+		path := s.path(key)
 		when := past.Add(time.Duration(i) * time.Minute)
 		if err := os.Chtimes(path, when, when); err != nil {
 			t.Fatal(err)
@@ -91,12 +91,12 @@ func TestStoreEviction(t *testing.T) {
 		t.Errorf("directory holds %d bytes after sweep, cap is %d", got, max)
 	}
 	for _, name := range old {
-		if _, err := os.Stat(s.blobPath(blobKey(name))); !os.IsNotExist(err) {
+		if _, err := os.Stat(s.path(blobKey(name))); !os.IsNotExist(err) {
 			t.Errorf("backdated entry %s survived the sweep (err=%v)", name, err)
 		}
 	}
 	// The triggering record must survive: it is the newest.
-	if _, err := os.Stat(s.blobPath(blobKey("trigger"))); err != nil {
+	if _, err := os.Stat(s.path(blobKey("trigger"))); err != nil {
 		t.Errorf("newest entry evicted: %v", err)
 	}
 
@@ -114,15 +114,12 @@ func TestStoreEviction(t *testing.T) {
 	}
 }
 
-// TestCacheEvictionCap applies the same byte cap to the hfmin record
-// cache: the dirCap is shared plumbing, so a capped Cache sweeps its
-// directory exactly like a capped Store.
+// TestCacheEvictionCap applies the same byte cap to hfmin records: they
+// live in the store's one directory, so a capped store sweeps them
+// exactly like stage payloads.
 func TestCacheEvictionCap(t *testing.T) {
 	dir := t.TempDir()
-	c, err := New(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, s := cacheOn(t, dir)
 	// Populate real minimization records of growing widths (each width is
 	// a distinct content key, so a distinct disk file).
 	for n := 2; n <= 7; n++ {
@@ -134,7 +131,7 @@ func TestCacheEvictionCap(t *testing.T) {
 	if total == 0 {
 		t.Fatal("no records persisted")
 	}
-	c.SetMaxBytes(total / 2)
+	s.SetMaxBytes(total / 2)
 	// Backdate everything so any entry is eligible, then write one more.
 	entries, err := os.ReadDir(dir)
 	if err != nil {

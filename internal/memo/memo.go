@@ -1,11 +1,13 @@
-// Package memo is a content-addressed, concurrency-safe memoization layer
-// for hazard-free two-level minimization (internal/hfmin) — the stage PR 2's
-// instrumentation showed consuming 94–99% of pipeline wall time. The
-// synthesis flow re-solves the same minimization problems over and over:
-// the encoding ladder in internal/synth retries every function per attempt,
-// and the design-space exploration sweep re-synthesizes controllers whose
-// AFSMs are untouched by the ablated transform. This package turns those
-// repeats into cache hits.
+// Package memo is the content-addressed cache of the synthesis flow. One
+// Store holds two kinds of cached work behind one memory→disk→remote
+// chain: hazard-free two-level minimizations (internal/hfmin), the stage
+// that dominates pipeline wall time, and the incremental stage engine's
+// per-stage payloads (internal/stage). The synthesis flow re-solves the
+// same minimization problems over and over: the encoding ladder in
+// internal/synth retries every function per attempt, and the
+// design-space exploration sweep re-synthesizes controllers whose AFSMs
+// are untouched by the ablated transform. Cache turns those repeats into
+// hits; it is the hfmin key and record format over a Store.
 //
 // # Keys
 //
@@ -19,46 +21,47 @@
 // replaying stale covers. The backend is part of the key because inexact
 // outcomes (budget-limited searches) may legitimately differ per backend.
 //
-// # In-memory cache and deduplication
+// # In-memory tier and deduplication
 //
-// The in-memory cache is a sharded map. Lookups for a key being computed by
+// The in-memory tier is a sharded map. Lookups for a key being computed by
 // another goroutine block on that computation (singleflight semantics)
 // instead of duplicating it, so the concurrent workers of
 // par.NamedMap("hfmin", ...) solving the same spec pay it once. Cached
-// results are shared by value with their slices aliased — callers must
-// treat a returned Result as immutable, which the synthesis pipeline does.
+// values are shared with their slices aliased — callers must treat a
+// returned Result as immutable, which the synthesis pipeline does.
 //
 // # Disk persistence
 //
-// With a cache directory configured (the CLI's -cache-dir flag), every
-// solved problem is written as one JSON record named by its key hash, and
-// misses consult the directory before computing. Records from other salts,
-// corrupt files and any read/decode error are silently treated as misses,
-// so a stale or damaged cache can never change results — at worst it stops
-// saving time. Infeasible outcomes (hfmin.ErrInfeasible) are cached and
-// persisted too: the strict rungs of the encoding ladder rediscover them
-// constantly.
+// With a cache directory configured (the -cache-dir flag), every solved
+// problem is written as one JSON record named by its key hash, wrapped in
+// the Store's salted envelope, and misses consult the directory before
+// computing. Records from other salts, corrupt files and any read/decode
+// error are silently treated as misses, so a stale or damaged cache can
+// never change results — at worst it stops saving time. Infeasible
+// outcomes (hfmin.ErrInfeasible) are cached and persisted too: the strict
+// rungs of the encoding ladder rediscover them constantly. Other errors
+// are cached in memory only, and a cancelled solve vacates its key.
 //
 // # Remote tier
 //
-// SetRemote attaches a pluggable fleet-shared tier (the Remote interface)
-// behind memory and disk: a lookup that misses both consults the remote —
-// bounded by a timeout so a slow or dead remote degrades to local compute —
-// and freshly-solved results are offered back. Payloads use the same
-// strictly-validated record format as the disk layer, so a corrupt or
-// byzantine remote costs at most a recompute. asyncsynthd wires
-// fleet.CacheClient here, making every node's hfmin solve warm the whole
-// fleet.
+// Store.SetRemote attaches a pluggable fleet-shared tier (the Remote
+// interface) behind memory and disk: a lookup that misses both consults
+// the remote — bounded by a timeout so a slow or dead remote degrades to
+// local compute — and freshly-solved results are offered back. Payloads
+// use the same strictly-validated envelope as the disk tier, so a corrupt
+// or byzantine remote costs at most a recompute. asyncsynthd wires
+// fleet.CacheClient here, making every node's solve warm the whole fleet.
 //
 // # Observability
 //
-// Each lookup outcome is published to the global obs registry — memo/hits,
-// memo/misses, memo/dedup-waits, memo/disk-hits and the memo/remote/*
-// family (hits, misses, errors, corrupt, stores) — and mirrored in
-// Stats() for programmatic use. Because hfmin.Analyze canonicalizes
-// internally, a cache hit is bit-identical to what the miss path would have
-// computed; the memoized and unmemoized pipelines are asserted equal by
-// TestMemoEquivalence at the repo root.
+// Each lookup outcome is published to the global obs registry under its
+// kind's counter family — memo/* for hfmin records, blob/* for stage
+// payloads: hits, misses, dedup-waits, disk-hits and the remote/* family
+// (hits, misses, errors, corrupt, stores) — and mirrored in Cache.Stats
+// and Store.Stats for programmatic use. Because hfmin.Analyze
+// canonicalizes internally, a cache hit is bit-identical to what the miss
+// path would have computed; the memoized and unmemoized pipelines are
+// asserted equal by TestMemoEquivalence at the repo root.
 package memo
 
 import (
@@ -66,15 +69,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
-	"fmt"
-	"os"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/hfmin"
 	"repro/internal/logic"
-	"repro/internal/obs"
 )
 
 // Salt versions the cache key space. Bump it whenever hfmin's observable
@@ -84,61 +81,17 @@ import (
 // Key folds in alongside this salt.
 const Salt = "memo-v1/hfmin-v1"
 
-// numShards bounds lock contention between concurrent hfmin workers; keys
-// are SHA-256 hashes, so the first byte shards uniformly.
-const numShards = 16
-
-// Stats is a snapshot of the cache's lookup counters.
-type Stats struct {
-	Hits          int64 // served from the in-memory map
-	Misses        int64 // computed (not found in memory, on disk or remotely)
-	DedupWaits    int64 // blocked on another goroutine computing the same key
-	DiskHits      int64 // loaded from the persistent cache directory
-	RemoteHits    int64 // filled from the remote tier
-	RemoteErrors  int64 // remote fetches that failed or timed out
-	RemoteCorrupt int64 // remote payloads rejected by validation
-}
-
-// Cache memoizes hfmin.Minimize and hfmin.MinimizeHeuristic. The zero value
-// is not usable; call New. A nil *Cache is a valid pass-through that
-// memoizes nothing.
+// Cache memoizes hfmin.Minimize and hfmin.MinimizeHeuristic as hfmin
+// records in a Store. The zero value is not usable; call New, NewSolver
+// or OnStore. A nil *Cache is a valid pass-through that memoizes nothing.
 type Cache struct {
-	dir           string       // persistent cache directory; empty = in-memory only
-	solver        logic.Solver // covering backend for exact minimizations
-	remote        Remote       // fleet-shared tier; nil = disabled
-	remoteTimeout time.Duration
-	cap           *dirCap // disk byte budget; nil = unbounded
-	shards        [numShards]shard
-
-	hits          atomic.Int64
-	misses        atomic.Int64
-	dedupWaits    atomic.Int64
-	diskHits      atomic.Int64
-	remoteHits    atomic.Int64
-	remoteErrors  atomic.Int64
-	remoteCorrupt atomic.Int64
+	store  *Store
+	solver logic.Solver // covering backend for exact minimizations
 }
 
-type shard struct {
-	mu sync.Mutex
-	m  map[[sha256.Size]byte]*entry
-}
-
-// entry is one memoized computation. done is closed when res/err are
-// final; waiters block on it (singleflight). aborted marks an entry whose
-// computation was cancelled (context error) or panicked before a result
-// existed: the entry has been removed from the map and waiters retry or
-// solve themselves rather than inheriting the aborted job's error.
-type entry struct {
-	done    chan struct{}
-	res     hfmin.Result
-	err     error
-	aborted bool
-}
-
-// New returns a cache. A non-empty dir enables the persistent layer (the
-// directory is created if needed); the empty string selects in-memory-only
-// operation.
+// New returns a cache over a store of its own. A non-empty dir enables
+// the persistent tier (the directory is created if needed); the empty
+// string selects in-memory-only operation.
 func New(dir string) (*Cache, error) {
 	return NewSolver(dir, logic.SolverBB)
 }
@@ -149,16 +102,19 @@ func New(dir string) (*Cache, error) {
 // different backends are never shared (exact results would be identical,
 // but budget-limited inexact ones may not be).
 func NewSolver(dir string, solver logic.Solver) (*Cache, error) {
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("memo: cache dir: %w", err)
-		}
+	store, err := NewStore(dir)
+	if err != nil {
+		return nil, err
 	}
-	c := &Cache{dir: dir, solver: solver}
-	for i := range c.shards {
-		c.shards[i].m = map[[sha256.Size]byte]*entry{}
-	}
-	return c, nil
+	return OnStore(store, solver), nil
+}
+
+// OnStore returns a cache that keeps its records in store, which the
+// caller may share with other kinds — the daemon hands one store to both
+// this cache and the stage engine, so one directory, one byte cap and
+// one remote tier serve both. store must be non-nil.
+func OnStore(store *Store, solver logic.Solver) *Cache {
+	return &Cache{store: store, solver: solver}
 }
 
 // Solver returns the covering backend the cache was constructed with.
@@ -172,20 +128,13 @@ func (c *Cache) Solver() logic.Solver {
 	return c.solver
 }
 
-// Stats returns the current lookup counters.
+// Stats returns the lookup counters of the hfmin records in the cache's
+// store (the memo/* family), whichever Cache posed them.
 func (c *Cache) Stats() Stats {
 	if c == nil {
 		return Stats{}
 	}
-	return Stats{
-		Hits:          c.hits.Load(),
-		Misses:        c.misses.Load(),
-		DedupWaits:    c.dedupWaits.Load(),
-		DiskHits:      c.diskHits.Load(),
-		RemoteHits:    c.remoteHits.Load(),
-		RemoteErrors:  c.remoteErrors.Load(),
-		RemoteCorrupt: c.remoteCorrupt.Load(),
-	}
+	return c.store.records.stats()
 }
 
 // Minimize is hfmin.Minimize behind the cache. It satisfies
@@ -204,7 +153,7 @@ func (c *Cache) MinimizeCtx(ctx context.Context, spec hfmin.Spec) (hfmin.Result,
 	if c == nil {
 		return hfmin.MinimizeCtx(ctx, spec)
 	}
-	return c.get(ctx, spec, c.solver, func(ctx context.Context, s hfmin.Spec) (hfmin.Result, error) {
+	return c.lookup(ctx, spec, c.solver, func(ctx context.Context, s hfmin.Spec) (hfmin.Result, error) {
 		return hfmin.MinimizeSolver(ctx, s, c.solver)
 	})
 }
@@ -216,7 +165,7 @@ func (c *Cache) MinimizeHeuristic(spec hfmin.Spec) (hfmin.Result, error) {
 	if c == nil {
 		return hfmin.MinimizeHeuristic(spec)
 	}
-	return c.get(context.Background(), spec, logic.SolverGreedy, hfmin.MinimizeHeuristicCtx)
+	return c.lookup(context.Background(), spec, logic.SolverGreedy, hfmin.MinimizeHeuristicCtx)
 }
 
 // Key returns the content-addressed cache key of (spec, solver): the
@@ -262,94 +211,23 @@ func canonicalKey(canon hfmin.Spec, solver logic.Solver) [sha256.Size]byte {
 	return key
 }
 
-// get implements the lookup protocol: in-memory hit, singleflight wait,
-// disk hit, or compute-and-fill. Computations that end in a context error
-// (or panic) vacate their entry instead of filling it, so a cancelled job
-// never poisons the key for other jobs; waiters on a vacated entry retry
-// the lookup from scratch.
-func (c *Cache) get(ctx context.Context, spec hfmin.Spec, solver logic.Solver, solve func(context.Context, hfmin.Spec) (hfmin.Result, error)) (hfmin.Result, error) {
+// lookup serves one minimization from the store. A solve's outcome —
+// result, infeasibility verdict or other error — is the cached value;
+// only a context error is returned to the store as a failure, which
+// vacates the key so a cancelled job never poisons it for other jobs.
+func (c *Cache) lookup(ctx context.Context, spec hfmin.Spec, solver logic.Solver, solve func(context.Context, hfmin.Spec) (hfmin.Result, error)) (hfmin.Result, error) {
 	// Sort once: the key and the solver's Analyze reuse the order.
 	spec = spec.Canonical()
-	key := canonicalKey(spec, solver)
-	sh := &c.shards[key[0]%numShards]
-	for {
-		sh.mu.Lock()
-		if e, ok := sh.m[key]; ok {
-			sh.mu.Unlock()
-			select {
-			case <-e.done:
-			default:
-				// Another worker is solving this exact problem right now;
-				// block on its result instead of duplicating the work — but
-				// only as long as our own context lives.
-				c.dedupWaits.Add(1)
-				obs.Add("memo/dedup-waits", 1)
-				select {
-				case <-e.done:
-				case <-ctx.Done():
-					return hfmin.Result{}, ctx.Err()
-				}
-			}
-			if e.aborted {
-				continue // the computing job was cancelled or panicked; retry
-			}
-			c.hits.Add(1)
-			obs.Add("memo/hits", 1)
-			return e.res, e.err
-		}
-		e := &entry{done: make(chan struct{})}
-		sh.m[key] = e
-		sh.mu.Unlock()
-
-		abort := func() {
-			sh.mu.Lock()
-			delete(sh.m, key)
-			sh.mu.Unlock()
-			e.aborted = true
-			close(e.done)
-		}
-		// The entry must be resolved even if the solver panics, or waiters
-		// would block forever; the panic is re-raised for par's recovery
-		// while the vacated key stays computable by the next caller.
-		completed := false
-		defer func() {
-			if !completed {
-				abort()
-			}
-		}()
-
-		if res, err, ok := c.loadDisk(key); ok {
-			c.diskHits.Add(1)
-			obs.Add("memo/disk-hits", 1)
-			e.res, e.err = res, err
-			completed = true
-			close(e.done)
-			return e.res, e.err
-		}
-
-		// Memory and disk missed; ask the fleet before solving. A hit is
-		// persisted locally too, so a node restart keeps it, and a slow,
-		// dead or corrupt remote falls through to compute (remote.go).
-		if res, err, ok := c.loadRemote(ctx, key); ok {
-			e.res, e.err = res, err
-			completed = true
-			close(e.done)
-			c.storeDisk(key, e.res, e.err)
-			return e.res, e.err
-		}
-
-		c.misses.Add(1)
-		obs.Add("memo/misses", 1)
+	v, _, err := c.store.do(ctx, &c.store.records, canonicalKey(spec, solver), recordCodec{}, func(ctx context.Context) (any, error) {
 		res, err := solve(ctx, spec)
-		completed = true
-		if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-			abort()
-			return res, err
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			return nil, err
 		}
-		e.res, e.err = res, err
-		close(e.done)
-		c.storeDisk(key, e.res, e.err)
-		c.storeRemote(key, e.res, e.err)
-		return e.res, e.err
+		return &record{res: res, err: err}, nil
+	})
+	if err != nil {
+		return hfmin.Result{}, err
 	}
+	r := v.(*record)
+	return r.res, r.err
 }

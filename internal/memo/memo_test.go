@@ -117,6 +117,35 @@ func TestInfeasibleCached(t *testing.T) {
 	}
 }
 
+// TestErrorsCachedInMemoryOnly: an error other than an infeasibility
+// verdict (here a malformed spec) is cached in memory like a verdict, but
+// never persisted; a fresh cache over the directory recomputes it.
+func TestErrorsCachedInMemoryOnly(t *testing.T) {
+	dir := t.TempDir()
+	bad := hfmin.Spec{N: 2, Transitions: []hfmin.Transition{tr("0-", "0-", hfmin.Static1), tr("00", "00", hfmin.Static0)}}
+	c := mustCache(t, dir)
+	_, err1 := c.Minimize(bad)
+	if err1 == nil || errors.Is(err1, hfmin.ErrInfeasible) {
+		t.Fatalf("inconsistent spec returned %v, want a non-verdict error", err1)
+	}
+	if _, err2 := c.Minimize(bad); err2 == nil || err2.Error() != err1.Error() {
+		t.Fatalf("cached error %v differs from computed %v", err2, err1)
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Errorf("stats = %+v, want 1 hit / 1 miss", st)
+	}
+	if files, _ := filepath.Glob(filepath.Join(dir, "*.json")); len(files) != 0 {
+		t.Fatalf("non-verdict error persisted as %v", files)
+	}
+	fresh := mustCache(t, dir)
+	if _, err := fresh.Minimize(bad); err == nil || err.Error() != err1.Error() {
+		t.Fatalf("recomputed error %v differs from %v", err, err1)
+	}
+	if st := fresh.Stats(); st.DiskHits != 0 || st.Misses != 1 {
+		t.Errorf("stats = %+v, want a recompute", st)
+	}
+}
+
 // TestSingleflightDedup: concurrent lookups of one key run the solver once;
 // everyone gets the same result.
 func TestSingleflightDedup(t *testing.T) {

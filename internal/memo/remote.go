@@ -4,18 +4,14 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"os"
 	"time"
-
-	"repro/internal/hfmin"
-	"repro/internal/obs"
 )
 
 // Remote is a pluggable second cache tier behind the in-memory map and
-// the local disk directory: a fleet-shared store of solved minimization
-// records in the same strictly-validated wire format the disk layer uses
-// (see disk.go). The peer-to-peer HTTP backend is fleet.CacheClient;
-// a blob store would be another implementation.
+// the local disk directory: a fleet-shared store of cached values in the
+// same strictly-validated envelope the disk tier uses (see store.go). The
+// peer-to-peer HTTP backend is fleet.CacheClient; a blob store would be
+// another implementation.
 //
 // The contract is deliberately weak so a remote can never hurt
 // correctness, only save time:
@@ -23,12 +19,13 @@ import (
 //   - Fetch returns the record bytes for a key, (nil, nil) on a clean
 //     miss, or an error. The caller re-validates every payload; corrupt
 //     or stale bytes are demoted to a miss and counted, never trusted.
-//   - Store offers a freshly-solved record to the tier; best-effort,
+//   - Store offers a freshly-computed record to the tier; best-effort,
 //     errors are ignored. Pull-based backends make it a no-op.
 //
-// Keys on the wire are the lowercase hex of the 32-byte cache key
-// (Key), so remote entries are content-addressed exactly like local
-// ones and a foreign-salt record can never alias a current key.
+// Keys on the wire are the lowercase hex of the 32-byte content key
+// (Key for hfmin records), so remote entries are content-addressed
+// exactly like local ones and a foreign-salt record can never alias a
+// current key.
 type Remote interface {
 	// Fetch returns the record for key, (nil, nil) on a miss.
 	Fetch(ctx context.Context, key string) ([]byte, error)
@@ -40,113 +37,44 @@ type Remote interface {
 // a non-positive timeout.
 const DefaultRemoteTimeout = time.Second
 
-// SetRemote attaches a remote tier to the cache. A lookup that misses
-// memory and disk consults the remote before computing; the fetch is
-// bounded by timeout (<= 0 selects DefaultRemoteTimeout) so a slow or
-// dead remote degrades to local compute instead of stalling the solve.
-// Freshly-computed results are offered back with Store. A nil remote
-// detaches the tier.
-//
-// SetRemote is not synchronized with in-flight lookups; attach the tier
-// before sharing the cache, as the daemon does at startup.
-func (c *Cache) SetRemote(r Remote, timeout time.Duration) {
-	if timeout <= 0 {
-		timeout = DefaultRemoteTimeout
+// loadRemote consults the remote tier for key, bounded by the store's
+// timeout. Every failure is counted in the kind's family: remote/misses
+// for a clean fleet-wide miss, remote/errors when the fetch failed or
+// timed out, remote/corrupt when the payload failed validation. All
+// three report ok=false, falling through to local compute.
+func (s *Store) loadRemote(ctx context.Context, f *family, key [sha256.Size]byte, codec BlobCodec) (any, []byte, bool) {
+	if s.remote == nil {
+		return nil, nil, false
 	}
-	c.remote = r
-	c.remoteTimeout = timeout
-}
-
-// loadRemote consults the remote tier for key. Every outcome is counted:
-// memo/remote/hits for a validated record, memo/remote/misses for a
-// clean fleet-wide miss, memo/remote/errors when the fetch failed or
-// timed out, memo/remote/corrupt when the payload failed validation.
-// The two failure modes both report ok=false, falling through to local
-// compute.
-func (c *Cache) loadRemote(ctx context.Context, key [sha256.Size]byte) (hfmin.Result, error, bool) {
-	if c.remote == nil {
-		return hfmin.Result{}, nil, false
-	}
-	rctx, cancel := context.WithTimeout(ctx, c.remoteTimeout)
+	rctx, cancel := context.WithTimeout(ctx, s.remoteTimeout)
 	defer cancel()
-	data, err := c.remote.Fetch(rctx, hex.EncodeToString(key[:]))
+	data, err := s.remote.Fetch(rctx, hex.EncodeToString(key[:]))
 	switch {
 	case err != nil:
-		c.remoteErrors.Add(1)
-		obs.Add("memo/remote/errors", 1)
-		return hfmin.Result{}, nil, false
+		f.remoteErrors.inc()
+		return nil, nil, false
 	case data == nil:
-		obs.Add("memo/remote/misses", 1)
-		return hfmin.Result{}, nil, false
+		f.remoteMisses.inc()
+		return nil, nil, false
 	}
-	res, resErr, ok := decodeRecord(data)
+	v, ok := decodeBlob(data, codec)
 	if !ok {
-		c.remoteCorrupt.Add(1)
-		obs.Add("memo/remote/corrupt", 1)
-		return hfmin.Result{}, nil, false
+		f.remoteCorrupt.inc()
+		return nil, nil, false
 	}
-	c.remoteHits.Add(1)
-	obs.Add("memo/remote/hits", 1)
-	return res, resErr, true
+	return v, data, true
 }
 
-// storeRemote offers a freshly-solved record to the remote tier,
-// detached from the solving job's context: the result is final, so a
-// cancellation arriving after the solve must not suppress the share.
-func (c *Cache) storeRemote(key [sha256.Size]byte, res hfmin.Result, err error) {
-	if c.remote == nil {
+// storeRemote offers a freshly-encoded envelope to the remote tier,
+// detached from the computing job's context: the result is final, so a
+// cancellation arriving after the compute must not suppress the share.
+func (s *Store) storeRemote(f *family, key [sha256.Size]byte, data []byte) {
+	if s.remote == nil {
 		return
 	}
-	data, ok := encodeRecord(res, err)
-	if !ok {
-		return
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), c.remoteTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), s.remoteTimeout)
 	defer cancel()
-	if c.remote.Store(ctx, hex.EncodeToString(key[:]), data) == nil {
-		obs.Add("memo/remote/stores", 1)
+	if s.remote.Store(ctx, hex.EncodeToString(key[:]), data) == nil {
+		f.remoteStores.inc()
 	}
-}
-
-// Export serializes the cache's entry for the hex-encoded key in the
-// shared record format, serving the fleet cache-fill protocol
-// (GET /v1/cache/{key}). It consults completed in-memory entries first,
-// then the disk layer; in-flight, aborted and absent entries report
-// ok=false. Infeasibility verdicts export like results; other errors do
-// not (they indicate malformed specs and are never cached).
-func (c *Cache) Export(hexKey string) ([]byte, bool) {
-	if c == nil {
-		return nil, false
-	}
-	raw, err := hex.DecodeString(hexKey)
-	if err != nil || len(raw) != sha256.Size {
-		return nil, false
-	}
-	var key [sha256.Size]byte
-	copy(key[:], raw)
-
-	sh := &c.shards[key[0]%numShards]
-	sh.mu.Lock()
-	e, ok := sh.m[key]
-	sh.mu.Unlock()
-	if ok {
-		select {
-		case <-e.done:
-			if !e.aborted {
-				if data, ok := encodeRecord(e.res, e.err); ok {
-					return data, true
-				}
-			}
-		default: // still being computed
-		}
-	}
-	if c.dir == "" {
-		return nil, false
-	}
-	// Serve the stored record bytes verbatim; the requester validates.
-	data, rerr := os.ReadFile(c.path(key))
-	if rerr != nil {
-		return nil, false
-	}
-	return data, true
 }

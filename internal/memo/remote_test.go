@@ -4,10 +4,12 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -58,28 +60,48 @@ func hexKey(spec hfmin.Spec, solver logic.Solver) string {
 	return hex.EncodeToString(k[:])
 }
 
-// TestRemoteHitBitIdentical: a record exported by one cache and fetched
+// cacheOn returns a cache over a fresh store in dir, and the store, whose
+// remote tier, byte cap and Export the tests drive.
+func cacheOn(t *testing.T, dir string) (*Cache, *Store) {
+	t.Helper()
+	s, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return OnStore(s, logic.SolverBB), s
+}
+
+// wrap puts a record payload in the store's envelope, as the disk and
+// remote tiers carry it.
+func wrap(payload string) []byte {
+	data, err := json.Marshal(blobRec{Salt: StoreSalt, Data: json.RawMessage(payload)})
+	if err != nil {
+		panic(err)
+	}
+	return data
+}
+
+// TestRemoteHitBitIdentical: a record exported by one store and fetched
 // remotely by another yields exactly the Result a direct solve computes,
-// counted as a remote hit, and is re-persisted to the second cache's disk
-// layer.
+// counted as a remote hit, and is re-persisted to the second store's disk
+// tier.
 func TestRemoteHitBitIdentical(t *testing.T) {
-	solverDir := t.TempDir()
-	src := mustCache(t, solverDir)
+	src, srcStore := cacheOn(t, t.TempDir())
 	direct, err := src.Minimize(simpleSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	key := hexKey(simpleSpec(), logic.SolverBB)
-	rec, ok := src.Export(key)
+	rec, ok := srcStore.Export(key)
 	if !ok {
-		t.Fatal("source cache could not export a solved entry")
+		t.Fatal("source store could not export a solved entry")
 	}
 
 	remote := newFakeRemote()
 	remote.entries[key] = rec
 	dstDir := t.TempDir()
-	dst := mustCache(t, dstDir)
-	dst.SetRemote(remote, time.Second)
+	dst, dstStore := cacheOn(t, dstDir)
+	dstStore.SetRemote(remote, time.Second)
 	got, err := dst.Minimize(simpleSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -104,35 +126,45 @@ func TestRemoteHitBitIdentical(t *testing.T) {
 
 // TestRemoteCorruptPayloadRejected: garbage, truncated, foreign-salt and
 // wrong-arity remote payloads are all demoted to misses — the solve
-// computes locally and the result is unaffected.
+// computes locally and the result is unaffected. So is a valid record
+// without the envelope, as older versions wrote to disk and served to
+// peers.
 func TestRemoteCorruptPayloadRejected(t *testing.T) {
 	direct, err := hfmin.Minimize(simpleSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	valid, ok := func() ([]byte, bool) {
-		c := mustCache(t, "")
+		c, s := cacheOn(t, "")
 		if _, err := c.Minimize(simpleSpec()); err != nil {
 			t.Fatal(err)
 		}
-		return c.Export(hexKey(simpleSpec(), logic.SolverBB))
+		return s.Export(hexKey(simpleSpec(), logic.SolverBB))
 	}()
 	if !ok {
 		t.Fatal("export failed")
 	}
+	var env blobRec
+	if err := json.Unmarshal(valid, &env); err != nil {
+		t.Fatal(err)
+	}
 	corruptions := map[string][]byte{
-		"garbage":      []byte("not json at all"),
-		"truncated":    valid[:len(valid)/2],
-		"empty-object": []byte("{}"),
-		"foreign-salt": []byte(`{"salt":"memo-v0/other","n":2}`),
-		"bad-mask":     []byte(`{"salt":"` + Salt + `","n":2,"cover":[{"z":18446744073709551615,"o":18446744073709551615}],"on":[{"z":1,"o":2}],"off":[{"z":2,"o":1}]}`),
+		"garbage":              []byte("not json at all"),
+		"truncated":            valid[:len(valid)/2],
+		"empty-object":         []byte("{}"),
+		"foreign-store-salt":   []byte(strings.Replace(string(valid), StoreSalt, "blob-v0", 1)),
+		"foreign-salt":         wrap(`{"salt":"memo-v0/other","n":2}`),
+		"bad-mask":             wrap(`{"salt":"` + Salt + `","n":2,"cover":[{"z":18446744073709551615,"o":18446744073709551615}],"on":[{"z":1,"o":2}],"off":[{"z":2,"o":1}]}`),
+		"flat-record":          env.Data,
+		"stage-payload":        wrap(`"a stage payload"`),
+		"trailing-after-valid": append(append([]byte{}, valid...), valid...),
 	}
 	for name, payload := range corruptions {
 		t.Run(name, func(t *testing.T) {
 			remote := newFakeRemote()
 			remote.entries[hexKey(simpleSpec(), logic.SolverBB)] = payload
-			c := mustCache(t, "")
-			c.SetRemote(remote, time.Second)
+			c, s := cacheOn(t, "")
+			s.SetRemote(remote, time.Second)
 			got, err := c.Minimize(simpleSpec())
 			if err != nil {
 				t.Fatal(err)
@@ -154,8 +186,8 @@ func TestRemoteCorruptPayloadRejected(t *testing.T) {
 func TestRemoteTimeoutFallsThrough(t *testing.T) {
 	remote := newFakeRemote()
 	remote.delay = 10 * time.Second
-	c := mustCache(t, "")
-	c.SetRemote(remote, 50*time.Millisecond)
+	c, s := cacheOn(t, "")
+	s.SetRemote(remote, 50*time.Millisecond)
 	start := time.Now()
 	got, err := c.Minimize(simpleSpec())
 	if err != nil {
@@ -180,8 +212,8 @@ func TestRemoteTimeoutFallsThrough(t *testing.T) {
 func TestCancelledFillNeverCached(t *testing.T) {
 	dir := t.TempDir()
 	remote := newFakeRemote()
-	c := mustCache(t, dir)
-	c.SetRemote(remote, time.Second)
+	c, s := cacheOn(t, dir)
+	s.SetRemote(remote, time.Second)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := c.MinimizeCtx(ctx, simpleSpec()); !errors.Is(err, context.Canceled) {
@@ -214,20 +246,20 @@ func TestCancelledFillNeverCached(t *testing.T) {
 // TestRemoteInfeasibleRoundTrip: infeasibility verdicts travel the remote
 // tier with errors.Is intact, like the disk layer.
 func TestRemoteInfeasibleRoundTrip(t *testing.T) {
-	src := mustCache(t, "")
+	src, srcStore := cacheOn(t, "")
 	_, serr := src.Minimize(infeasibleSpec())
 	if !errors.Is(serr, hfmin.ErrInfeasible) {
 		t.Fatalf("infeasible spec solved: %v", serr)
 	}
 	key := hexKey(infeasibleSpec(), logic.SolverBB)
-	rec, ok := src.Export(key)
+	rec, ok := srcStore.Export(key)
 	if !ok {
 		t.Fatal("infeasible verdict did not export")
 	}
 	remote := newFakeRemote()
 	remote.entries[key] = rec
-	dst := mustCache(t, "")
-	dst.SetRemote(remote, time.Second)
+	dst, dstStore := cacheOn(t, "")
+	dstStore.SetRemote(remote, time.Second)
 	if _, err := dst.Minimize(infeasibleSpec()); !errors.Is(err, hfmin.ErrInfeasible) {
 		t.Fatalf("remote-filled verdict = %v, want ErrInfeasible", err)
 	}
@@ -236,35 +268,67 @@ func TestRemoteInfeasibleRoundTrip(t *testing.T) {
 	}
 }
 
-// TestExportDomain pins Export's edges: bad hex, wrong length, unknown
-// and in-flight keys all report ok=false; solved keys export from memory
-// and, after restart, from disk.
+// TestExportDomain pins Export's edges for hfmin records: bad hex, wrong
+// length, unknown, in-flight and non-verdict-error keys all report
+// ok=false; solved keys export from memory and, after restart, from disk.
 func TestExportDomain(t *testing.T) {
 	dir := t.TempDir()
-	c := mustCache(t, dir)
-	if _, ok := c.Export("zz"); ok {
+	c, s := cacheOn(t, dir)
+	if _, ok := s.Export("zz"); ok {
 		t.Fatal("non-hex key exported")
 	}
-	if _, ok := c.Export("00ff"); ok {
+	if _, ok := s.Export("00ff"); ok {
 		t.Fatal("short key exported")
 	}
 	var missing [sha256.Size]byte
-	if _, ok := c.Export(hex.EncodeToString(missing[:])); ok {
+	if _, ok := s.Export(hex.EncodeToString(missing[:])); ok {
 		t.Fatal("unknown key exported")
 	}
+
+	// An in-flight solve does not export.
+	gate, solved := make(chan struct{}), make(chan struct{})
+	inflight := Key(widthSpec(3), logic.SolverBB)
+	go func() {
+		defer close(solved)
+		s.do(context.Background(), &s.records, inflight, recordCodec{}, func(context.Context) (any, error) {
+			<-gate
+			return nil, context.Canceled // vacates the key: nothing is cached
+		})
+	}()
+	waitFor(t, func() bool {
+		sh := &s.shards[inflight[0]%numShards]
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return sh.m[inflight] != nil
+	})
+	if _, ok := s.Export(hex.EncodeToString(inflight[:])); ok {
+		t.Fatal("in-flight key exported")
+	}
+	close(gate)
+	<-solved
+
+	// A malformed spec's error is cached in memory but never exported.
+	bad := hfmin.Spec{N: 2, Transitions: []hfmin.Transition{tr("0-", "0-", hfmin.Static1), tr("00", "00", hfmin.Static0)}}
+	if _, err := c.Minimize(bad); err == nil || errors.Is(err, hfmin.ErrInfeasible) {
+		t.Fatalf("inconsistent spec returned %v, want a non-verdict error", err)
+	}
+	if _, ok := s.Export(hexKey(bad, logic.SolverBB)); ok {
+		t.Fatal("a non-verdict error exported")
+	}
+
 	if _, err := c.Minimize(simpleSpec()); err != nil {
 		t.Fatal(err)
 	}
 	key := hexKey(simpleSpec(), logic.SolverBB)
-	if _, ok := c.Export(key); !ok {
+	if _, ok := s.Export(key); !ok {
 		t.Fatal("solved key did not export from memory")
 	}
-	restarted := mustCache(t, dir)
+	_, restarted := cacheOn(t, dir)
 	if _, ok := restarted.Export(key); !ok {
 		t.Fatal("solved key did not export from disk after restart")
 	}
-	var nilCache *Cache
-	if _, ok := nilCache.Export(key); ok {
-		t.Fatal("nil cache exported")
+	var nilStore *Store
+	if _, ok := nilStore.Export(key); ok {
+		t.Fatal("nil store exported")
 	}
 }

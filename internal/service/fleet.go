@@ -32,15 +32,11 @@ type FleetConfig struct {
 	// Peers is the liveness view used to skip dead nodes; probes are the
 	// caller's to start. Nil presumes everyone healthy.
 	Peers *fleet.Peers
-	// Cache, when non-nil, is served to peers at GET /v1/cache/{key}
-	// (the fleet cache-fill protocol; see memo.Remote).
-	Cache *memo.Cache
-	// Blobs, when non-nil, is the stage-payload store also served at
-	// GET /v1/cache/{key}: a key missing from Cache falls through to it,
-	// so one endpoint ships both hfmin records and stage blobs between
-	// nodes. The distinct salts (memo.Salt vs memo.StoreSalt) keep the
-	// two record kinds from ever aliasing.
-	Blobs *memo.Store
+	// Store, when non-nil, is served to peers at GET /v1/cache/{key}
+	// (the fleet cache-fill protocol; see memo.Remote): the one store
+	// holding both the hfmin records and the stage payloads, so one
+	// endpoint ships both kinds between nodes.
+	Store *memo.Store
 	// Retry shapes forwarding retries; the zero value selects
 	// fleet.Backoff's defaults (3 attempts from 50ms).
 	Retry fleet.Backoff
@@ -72,8 +68,9 @@ type fleetProxy struct {
 //     node can answer for any job (SSE event streams proxy flushed). A
 //     PATCH lands where the base job lives, which is also where the
 //     stage cache holding its intermediate results is warm.
-//   - GET /v1/cache/{key} serves this node's solved minimization records
-//     to peers (404 on miss), the pull side of memo.Remote.
+//   - GET /v1/cache/{key} serves this node's cached minimization records
+//     and stage payloads to peers (404 on miss), the pull side of
+//     memo.Remote.
 //
 // Everything else — /healthz, /metrics — is served locally.
 func (m *Manager) FleetHandler(cfg FleetConfig) http.Handler {
@@ -239,14 +236,9 @@ func (p *fleetProxy) byJobID() http.Handler {
 	})
 }
 
-// cacheGet serves the fleet cache-fill protocol from the local memo
-// cache, falling through to the stage-payload store: both record kinds
-// share the endpoint and are told apart by their envelope salts.
+// cacheGet serves the fleet cache-fill protocol from the node's store.
 func (p *fleetProxy) cacheGet(w http.ResponseWriter, r *http.Request) {
-	data, ok := p.cfg.Cache.Export(r.PathValue("key"))
-	if !ok {
-		data, ok = p.cfg.Blobs.Export(r.PathValue("key"))
-	}
+	data, ok := p.cfg.Store.Export(r.PathValue("key"))
 	if !ok {
 		obs.Add("fleet/cache_serve_misses", 1)
 		writeError(w, http.StatusNotFound, "no such cache entry")

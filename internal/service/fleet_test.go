@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/diffeq"
 	"repro/internal/fleet"
+	"repro/internal/logic"
 	"repro/internal/memo"
 	"repro/internal/obs"
 )
@@ -211,8 +212,11 @@ type fleetNode struct {
 }
 
 // startFleet boots n coordinated nodes on real loopback listeners, each
-// with its own memo cache wired to pull from the others (the production
-// topology, minus separate processes).
+// with its own memo cache over a store wired to pull from the others.
+// Unlike asyncsynthd, which hands that store to its stage engine too,
+// each node's engine keeps a private store: a forced local re-run then
+// poses its hfmin lookups instead of filling whole stage payloads, so
+// TestFleetThreeNodes observes hfmin-record remote fills deterministically.
 func startFleet(t *testing.T, n int) []*fleetNode {
 	t.Helper()
 	listeners := make([]net.Listener, n)
@@ -233,12 +237,13 @@ func startFleet(t *testing.T, n int) []*fleetNode {
 				others = append(others, u)
 			}
 		}
-		cache, err := memo.New(t.TempDir())
+		store, err := memo.NewStore(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
 		peers := fleet.NewPeers(others, fleet.PeerOptions{})
-		cache.SetRemote(fleet.NewCacheClient(others, peers, fleet.CacheClientOptions{}), time.Second)
+		store.SetRemote(fleet.NewCacheClient(others, peers, fleet.CacheClientOptions{}), time.Second)
+		cache := memo.OnStore(store, logic.SolverBB)
 		m := New(Config{
 			Concurrency: 2,
 			Parallelism: 2,
@@ -250,7 +255,7 @@ func startFleet(t *testing.T, n int) []*fleetNode {
 			Self:  urls[i],
 			Nodes: urls,
 			Peers: peers,
-			Cache: cache,
+			Store: store,
 			Retry: fleet.Backoff{Attempts: 2, Base: 10 * time.Millisecond},
 		})
 		srv := &http.Server{Handler: handler}
@@ -448,13 +453,13 @@ func TestNodeOfAndCacheEndpoint(t *testing.T) {
 		t.Fatalf("NodeOf without suffix = %q", got)
 	}
 
-	cache, err := memo.New("")
+	store, err := memo.NewStore("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(Config{Concurrency: 1, Minimizer: cache})
+	m := New(Config{Concurrency: 1, Minimizer: memo.OnStore(store, logic.SolverBB)})
 	defer m.Close()
-	srv := newTestServer(t, m.FleetHandler(FleetConfig{Self: "http://127.0.0.1:1", Cache: cache}))
+	srv := newTestServer(t, m.FleetHandler(FleetConfig{Self: "http://127.0.0.1:1", Store: store}))
 	resp, err := http.Get(srv + "/v1/cache/nothex")
 	if err != nil {
 		t.Fatal(err)

@@ -72,8 +72,8 @@ type errorBody struct {
 //	                      and submit the patched design as a new job at
 //	                      the same level and mode; the 202 response
 //	                      carries the new job plus the edit's dirty
-//	                      classification. With Config.Engine, unchanged
-//	                      stages replay from the stage cache.
+//	                      classification. Unchanged stages replay
+//	                      from the engine's stage cache.
 //	GET    /v1/jobs/{id}/result  the raw synthesis document, byte-for-byte
 //	                      as the codec produced it (409 until done)
 //	GET    /v1/jobs/{id}/events  job progress: SSE stream of lifecycle and

@@ -30,6 +30,16 @@ func hypercubeEncode(c *Concrete, reach []int, bits int) map[int]uint64 {
 	for _, t := range c.Trans {
 		link(t.From, t.To)
 	}
+	// Neighbours in ascending order: the search below must try codes in
+	// the same order on every run, or rejected encodings would pose
+	// run-dependent minimization specs.
+	nbrs := map[int][]int{}
+	for s, ns := range adj {
+		for n := range ns {
+			nbrs[s] = append(nbrs[s], n)
+		}
+		sort.Ints(nbrs[s])
+	}
 	// BFS order from init keeps each state close to an assigned neighbor.
 	var order []int
 	seen := map[int]bool{c.Init: true}
@@ -38,12 +48,7 @@ func hypercubeEncode(c *Concrete, reach []int, bits int) map[int]uint64 {
 		s := queue[0]
 		queue = queue[1:]
 		order = append(order, s)
-		var ns []int
-		for n := range adj[s] {
-			ns = append(ns, n)
-		}
-		sort.Ints(ns)
-		for _, n := range ns {
+		for _, n := range nbrs[s] {
 			if !seen[n] {
 				seen[n] = true
 				queue = append(queue, n)
@@ -73,7 +78,7 @@ func hypercubeEncode(c *Concrete, reach []int, bits int) map[int]uint64 {
 		// neighbor.
 		var candidates []uint64
 		var anchors []uint64
-		for n := range adj[s] {
+		for _, n := range nbrs[s] {
 			if code, ok := enc[n]; ok {
 				anchors = append(anchors, code)
 			}

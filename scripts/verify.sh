@@ -47,7 +47,8 @@ echo "   graceful SIGTERM drain; the daemon's log is captured and replayed"
 echo "   on failure)"
 go test -race -run 'TestServerSmoke' -count=1 ./cmd/asyncsynthd
 echo "== daemon shell smoke (kernel-assigned free port, never a fixed one;"
-echo "   fails fast and prints the captured server log on any non-zero step)"
+echo "   fails fast and prints the captured server log on any non-zero step;"
+echo "   a restart on the same -cache-dir serves DIFFEQ from the disk tier)"
 tmp=$(mktemp -d)
 daemon_pid=
 cleanup() {
@@ -59,42 +60,61 @@ cleanup() {
 trap cleanup EXIT
 go build -o "$tmp/asyncsynthd" ./cmd/asyncsynthd
 go build -o "$tmp/asyncsynth" ./cmd/asyncsynth
-"$tmp/asyncsynthd" -addr 127.0.0.1:0 -concurrency 1 >"$tmp/daemon.log" 2>&1 &
-daemon_pid=$!
+"$tmp/asyncsynth" export diffeq >"$tmp/diffeq.json"
+"$tmp/asyncsynth" synthdoc diffeq >"$tmp/direct.doc"
 fail_daemon() {
 	echo "verify: daemon smoke failed: $1" >&2
 	echo "--- captured server log ($tmp/daemon.log) ---" >&2
 	cat "$tmp/daemon.log" >&2
 	exit 1
 }
-base=
-for _ in $(seq 1 100); do
-	base=$(awk '/^listening on /{print $3; exit}' "$tmp/daemon.log")
-	[ -n "$base" ] && break
-	kill -0 "$daemon_pid" 2>/dev/null || fail_daemon "daemon exited before announcing its port"
-	sleep 0.1
-done
-[ -n "$base" ] || fail_daemon "daemon never printed 'listening on' (10s)"
-curl -fsS "$base/healthz" >/dev/null || fail_daemon "healthz"
-"$tmp/asyncsynth" export diffeq >"$tmp/diffeq.json"
-job=$(curl -fsS -X POST -H 'Content-Type: application/json' \
-	--data-binary @"$tmp/diffeq.json" "$base/v1/jobs" |
-	sed -n 's/.*"id": *"\([^"]*\)".*/\1/p')
-[ -n "$job" ] || fail_daemon "submission returned no job ID"
-state=
-for _ in $(seq 1 600); do
-	state=$(curl -fsS "$base/v1/jobs/$job" | sed -n 's/.*"state": *"\([^"]*\)".*/\1/p' | head -1)
-	[ "$state" = done ] && break
-	case "$state" in failed | cancelled) fail_daemon "job state $state" ;; esac
-	sleep 0.1
-done
-[ "$state" = done ] || fail_daemon "job never finished (60s, last state '$state')"
-curl -fsS "$base/v1/jobs/$job/result" >"$tmp/served.doc" || fail_daemon "result fetch"
-"$tmp/asyncsynth" synthdoc diffeq >"$tmp/direct.doc"
-cmp "$tmp/served.doc" "$tmp/direct.doc" || fail_daemon "served document differs from the direct run"
-kill -TERM "$daemon_pid"
-wait "$daemon_pid" || fail_daemon "daemon exited non-zero on SIGTERM drain"
-daemon_pid=
+# start_daemon launches asyncsynthd on one cache directory and sets base
+# to the URL it announces.
+start_daemon() {
+	: >"$tmp/daemon.log" # no stale "listening on" line from a previous start
+	"$tmp/asyncsynthd" -addr 127.0.0.1:0 -concurrency 1 -cache-dir "$tmp/cache" >"$tmp/daemon.log" 2>&1 &
+	daemon_pid=$!
+	base=
+	for _ in $(seq 1 100); do
+		base=$(awk '/^listening on /{print $3; exit}' "$tmp/daemon.log")
+		[ -n "$base" ] && break
+		kill -0 "$daemon_pid" 2>/dev/null || fail_daemon "daemon exited before announcing its port"
+		sleep 0.1
+	done
+	[ -n "$base" ] || fail_daemon "daemon never printed 'listening on' (10s)"
+	curl -fsS "$base/healthz" >/dev/null || fail_daemon "healthz"
+}
+# serve_diffeq submits DIFFEQ, polls it to completion and requires the
+# served document to be byte-identical to the direct run.
+serve_diffeq() {
+	job=$(curl -fsS -X POST -H 'Content-Type: application/json' \
+		--data-binary @"$tmp/diffeq.json" "$base/v1/jobs" |
+		sed -n 's/.*"id": *"\([^"]*\)".*/\1/p')
+	[ -n "$job" ] || fail_daemon "submission returned no job ID"
+	state=
+	for _ in $(seq 1 600); do
+		state=$(curl -fsS "$base/v1/jobs/$job" | sed -n 's/.*"state": *"\([^"]*\)".*/\1/p' | head -1)
+		[ "$state" = done ] && break
+		case "$state" in failed | cancelled) fail_daemon "job state $state" ;; esac
+		sleep 0.1
+	done
+	[ "$state" = done ] || fail_daemon "job never finished (60s, last state '$state')"
+	curl -fsS "$base/v1/jobs/$job/result" >"$tmp/served.doc" || fail_daemon "result fetch"
+	cmp "$tmp/served.doc" "$tmp/direct.doc" || fail_daemon "served document differs from the direct run"
+}
+stop_daemon() {
+	kill -TERM "$daemon_pid"
+	wait "$daemon_pid" || fail_daemon "daemon exited non-zero on SIGTERM drain"
+	daemon_pid=
+}
+start_daemon
+serve_diffeq
+stop_daemon
+start_daemon
+serve_diffeq
+disk_hits=$(curl -fsS "$base/metrics" | awk -F'} ' '/name="blob\/disk-hits"/{print $2; exit}')
+[ "${disk_hits:-0}" -gt 0 ] || fail_daemon "restart on the same -cache-dir served no stage payload from disk (blob/disk-hits ${disk_hits:-absent})"
+stop_daemon
 echo "== server cancellation (DELETE frees pool workers without failing"
 echo "   the other in-flight jobs; asserted via obs pool gauges)"
 go test -race -run 'TestCancelFreesWorkersWithoutFailingOthers|TestHTTPBackpressureAndCancel' -count=1 ./internal/service
@@ -164,7 +184,7 @@ echo "$load_out"
 		"$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
 		"$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
 	echo "$load_out" | awk '
-		/^  "(jobs|done|p50_ms|p95_ms|p99_ms|max_queue_depth|remote_hits|cross_verified)":/ {
+		/^  "(jobs|done|p50_ms|p95_ms|p99_ms|max_queue_depth|remote_hits|blob_remote_hits|cross_verified)":/ {
 			gsub(/[ ,]/, "")
 			if (n++) printf(",")
 			printf("%s", $0)
