@@ -9,21 +9,27 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/cdfg"
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/diffeq"
+	"repro/internal/fir"
+	"repro/internal/gcd"
 	"repro/internal/hfmin"
 	"repro/internal/obs"
 )
 
 // gateMin is a MinimizerCtx that parks every minimization until the gate
 // channel is closed (or the caller's context ends), letting tests hold
-// jobs mid-pipeline deterministically.
+// jobs mid-pipeline deterministically. parked counts the minimizations
+// waiting at the gate.
 type gateMin struct {
-	gate chan struct{}
+	gate   chan struct{}
+	parked atomic.Int64
 }
 
 func (g *gateMin) Minimize(spec hfmin.Spec) (hfmin.Result, error) {
@@ -31,6 +37,8 @@ func (g *gateMin) Minimize(spec hfmin.Spec) (hfmin.Result, error) {
 }
 
 func (g *gateMin) MinimizeCtx(ctx context.Context, spec hfmin.Spec) (hfmin.Result, error) {
+	g.parked.Add(1)
+	defer g.parked.Add(-1)
 	select {
 	case <-g.gate:
 		return hfmin.MinimizeCtx(ctx, spec)
@@ -160,9 +168,12 @@ func TestCancelFreesWorkersWithoutFailingOthers(t *testing.T) {
 	m := New(Config{Concurrency: 3, Parallelism: 3, Minimizer: min})
 	defer m.Close()
 
+	// Three designs share no stage key, so no job waits on another's
+	// stage: each runs its own minimizations, and the victim's own
+	// minimizer must observe the cancellation.
 	var jobs []*Job
-	for i := 0; i < 3; i++ {
-		job, err := m.Submit(diffeq.Build(diffeq.DefaultParams()), core.OptimizedGTLT)
+	for _, g := range []*cdfg.Graph{diffeq.Build(diffeq.DefaultParams()), gcd.Build(123, 45), fir.Build(fir.DefaultParams())} {
+		job, err := m.Submit(g, core.OptimizedGTLT)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,11 +182,14 @@ func TestCancelFreesWorkersWithoutFailingOthers(t *testing.T) {
 	for _, job := range jobs {
 		waitState(t, job, StateRunning)
 	}
-	// All three are parked inside the gated minimizer on pool workers.
+	// All three are parked inside the gated minimizer on pool workers,
+	// one minimization each (a job's one-worker share runs its
+	// controllers in turn).
 	deadline := time.Now().Add(30 * time.Second)
-	for reg.Gauge("par/inflight") == 0 {
+	for min.parked.Load() < 3 || reg.Gauge("par/inflight") == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("no pool workers became busy")
+			t.Fatalf("%d minimizations parked, par/inflight %d; want every job parked on a pool worker",
+				min.parked.Load(), reg.Gauge("par/inflight"))
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
