@@ -69,7 +69,6 @@ import (
 	"repro/internal/diffeq"
 	"repro/internal/explore"
 	"repro/internal/frontend"
-	"repro/internal/logic"
 	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/search"
@@ -87,17 +86,11 @@ var (
 	pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	cacheDir    = flag.String("cache-dir", "", "persist hazard-free minimization results under this directory (warm runs skip re-solving)")
 	cacheMax    = flag.Int64("cache-max-bytes", 0, "cap the on-disk cache at this many bytes, evicting oldest entries first (0 = unbounded)")
-	solverName  = flag.String("solver", "bb", "covering backend for exact hazard-free minimization: bb, pb, portfolio or greedy")
 )
 
 // minimizer is the process-wide hfmin memoization cache built from
 // -cache-dir and -cache-max-bytes.
 var minimizer synth.Minimizer
-
-// coverSolver is the covering backend parsed from -solver; it configures
-// the memo cache (the backend is part of the cache key) and the pipeline
-// options.
-var coverSolver logic.Solver
 
 func main() { os.Exit(run()) }
 
@@ -122,19 +115,13 @@ func run() int {
 		return 1
 	}
 	defer teardown()
-	coverSolver, err = logic.ParseSolver(*solverName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "asyncsynth:", err)
-		usage()
-		return 2
-	}
 	store, err := memo.NewStore(*cacheDir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "asyncsynth:", err)
 		return 1
 	}
 	store.SetMaxBytes(*cacheMax)
-	minimizer = memo.OnStore(store, coverSolver)
+	minimizer = memo.OnStore(store)
 	cmd := flag.Arg(0)
 	args := flag.Args()[1:]
 	switch cmd {
@@ -257,9 +244,6 @@ flags:
                             warm runs load them instead of re-solving
   -cache-max-bytes N        cap the on-disk cache at N bytes, evicting the
                             oldest entries first (0 = unbounded, default)
-  -solver name              covering backend for exact minimization:
-                            bb (default), pb, portfolio (results identical
-                            to bb) or greedy (heuristic, inexact)
 
 commands:
   report fig5|fig12|fig13   regenerate a paper table/figure (DIFFEQ)
@@ -292,13 +276,12 @@ benchmarks: diffeq (default), gcd, fir, ewf, ar — or a path to an .adl
 source file anywhere a benchmark name is accepted`)
 }
 
-// defaultOpts is core.DefaultOptions with the -j worker-pool bound, the
-// -cache-dir minimization cache and the -solver covering backend applied.
+// defaultOpts is core.DefaultOptions with the -j worker-pool bound and
+// the -cache-dir minimization cache applied.
 func defaultOpts() core.Options {
 	opt := core.DefaultOptions()
 	opt.Parallelism = *jWorkers
 	opt.Minimizer = minimizer
-	opt.Solver = coverSolver
 	return opt
 }
 
@@ -491,7 +474,6 @@ func doExplore(args []string) error {
 		Workers:    *jWorkers,
 		Synthesize: true,
 		Minimizer:  minimizer,
-		Solver:     coverSolver,
 	})
 	fmt.Print(explore.Format(scores))
 	if best, ok := explore.Best(scores, func(s explore.Score) float64 { return s.Makespan }); ok {
@@ -578,7 +560,6 @@ func doSearch(args []string) error {
 		Weights:    search.Weights{Time: p.wTime, Area: p.wArea},
 		Synthesize: !*noSynth,
 		Minimizer:  minimizer,
-		Solver:     coverSolver,
 	}
 	if p.waves == 0 {
 		sopt.Waves = -1

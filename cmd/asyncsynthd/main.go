@@ -81,7 +81,6 @@ import (
 	"time"
 
 	"repro/internal/fleet"
-	"repro/internal/logic"
 	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/service"
@@ -98,7 +97,6 @@ var (
 	cacheDir     = flag.String("cache-dir", "", "persist minimization results and stage payloads under this directory")
 	cacheMax     = flag.Int64("cache-max-bytes", 0, "cap the on-disk cache at this many bytes, evicting oldest entries (0 = unbounded)")
 	noDedup      = flag.Bool("no-dedup", false, "disable request-level dedup of identical submissions")
-	solverName   = flag.String("solver", "bb", "covering backend for exact hazard-free minimization: bb, pb, portfolio or greedy")
 
 	selfURL        = flag.String("self", "", "advertised base URL of this node (default http://<bound addr>)")
 	peerList       = flag.String("peers", "", "comma-separated base URLs of the other fleet nodes")
@@ -140,13 +138,6 @@ func run() int {
 	tracer.Enable()
 	obs.SetTracer(tracer)
 
-	solver, err := logic.ParseSolver(*solverName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "asyncsynthd:", err)
-		flag.Usage()
-		return 2
-	}
-
 	// Bind before building the fleet identity: with -addr :0 the node's
 	// ID and inferred -self must name the port the kernel actually chose.
 	ln, err := net.Listen("tcp", *addr)
@@ -184,9 +175,8 @@ func run() int {
 		Concurrency: *concurrency,
 		Parallelism: *jWorkers,
 		JobTimeout:  *jobTimeout,
-		Minimizer:   memo.OnStore(store, solver),
+		Minimizer:   memo.OnStore(store),
 		Engine:      stage.New(store),
-		Solver:      solver,
 		Dedup:       !*noDedup,
 	}
 	if len(peerURLs) > 0 {

@@ -73,12 +73,10 @@ type Options struct {
 	// changes. Sharing one cache across runs (e.g. an exploration sweep)
 	// turns repeated minimization problems into hits.
 	Minimizer synth.Minimizer
-	// Solver selects the covering backend for exact hazard-free
-	// minimizations (see logic.Solver): the branch-and-bound reference
-	// (zero value), the pseudo-Boolean solver, the racing portfolio, or
-	// the greedy heuristic. Exact backends produce bit-identical logic;
-	// only wall time changes. Ignored when Minimizer is set (a memo cache
-	// carries its own backend, fixed at construction so cache keys match).
+	// Solver selects the covering mode of the hazard-free minimizations
+	// (see logic.Solver): exact branch-and-bound (zero value, the only
+	// exact mode) or the greedy heuristic. Ignored when Minimizer is set,
+	// which minimizes with branch-and-bound.
 	Solver logic.Solver
 	// LTConfigs selects a per-controller subset/order of the local
 	// transforms (a rewrite-search decision); nil, or a missing entry,
@@ -113,7 +111,7 @@ type Synthesis struct {
 	// Minimizer is the optional hfmin memoization layer inherited from
 	// Options, used by SynthesizeLogic.
 	Minimizer synth.Minimizer
-	// Solver is the covering backend inherited from Options.
+	// Solver is the covering mode inherited from Options.
 	Solver logic.Solver
 	// Encodings carries the per-controller forced encoding rungs inherited
 	// from Options into SynthesizeLogic.

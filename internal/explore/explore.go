@@ -16,7 +16,6 @@ import (
 	"strings"
 
 	"repro/internal/cdfg"
-	"repro/internal/logic"
 	"repro/internal/obs"
 	"repro/internal/search"
 	"repro/internal/synth"
@@ -98,9 +97,6 @@ type Options struct {
 	// untouched re-pose identical minimization problems, which become
 	// cache hits instead of repeated solves.
 	Minimizer synth.Minimizer
-	// Solver is the covering backend for exact minimizations when no
-	// Minimizer is supplied (see logic.Solver and core.Options.Solver).
-	Solver logic.Solver
 }
 
 // Evaluate runs one variant on a fresh clone of the graph.
@@ -138,7 +134,6 @@ func SweepWith(g *cdfg.Graph, variants []Variant, opt Options) []Score {
 		Budget:     len(plans),
 		Synthesize: opt.Synthesize,
 		Minimizer:  opt.Minimizer,
-		Solver:     opt.Solver,
 		Seeds:      plans,
 	})
 	obs.Add("explore/variants", int64(len(variants)))

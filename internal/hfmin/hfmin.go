@@ -306,11 +306,9 @@ func MinimizeHeuristicCtx(ctx context.Context, spec Spec) (Result, error) {
 	return minimize(ctx, spec, logic.SolverGreedy)
 }
 
-// MinimizeSolver is MinimizeCtx with an explicit covering backend: the
-// branch-and-bound reference, the pseudo-Boolean solver, the racing
-// portfolio, or the greedy heuristic (which reports Exact=false). Exact
-// backends produce bit-identical covers whenever the search completes, so
-// the choice affects speed, not results (see logic.SolvePortfolio).
+// MinimizeSolver is MinimizeCtx with an explicit covering mode:
+// logic.SolverBB is MinimizeCtx itself, logic.SolverGreedy is
+// MinimizeHeuristicCtx (which reports Exact=false).
 func MinimizeSolver(ctx context.Context, spec Spec, solver logic.Solver) (Result, error) {
 	return minimize(ctx, spec, solver)
 }

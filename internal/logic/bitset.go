@@ -2,9 +2,9 @@ package logic
 
 import "math/bits"
 
-// bitset is a fixed-width bit vector used by the covering solvers to
+// bitset is a fixed-width bit vector used by the covering search to
 // represent row and column sets. All operations are allocation-free; the
-// solvers pool and reuse bitsets across branch-and-bound nodes.
+// search pools and reuses bitsets across branch-and-bound nodes.
 type bitset []uint64
 
 func bitsetWords(n int) int { return (n + 63) / 64 }

@@ -2,7 +2,6 @@ package logic
 
 import (
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/obs"
 )
@@ -13,8 +12,8 @@ type CoveringProblem struct {
 	NumCols int
 	Rows    [][]int // each row lists the columns that cover it
 	Cost    []int   // per-column cost; nil means unit cost
-	// Budget bounds the exact backends' search in branch/assignment steps;
-	// 0 means DefaultCoveringBudget. When exceeded the solver returns the
+	// Budget bounds the exact search in branch steps; 0 means
+	// DefaultCoveringBudget. When exceeded the solver returns the
 	// best cover found so far (at worst the greedy seed) with exact=false.
 	Budget int
 	// Cancel, when non-nil, is polled between search iterations (every
@@ -24,7 +23,7 @@ type CoveringProblem struct {
 	Cancel func() error
 }
 
-// cancelCheckInterval bounds how often the solvers poll Cancel; checking
+// cancelCheckInterval bounds how often the search polls Cancel; checking
 // every step would put an atomic context load on the hot search path.
 const cancelCheckInterval = 1024
 
@@ -74,42 +73,10 @@ func (p *CoveringProblem) SolveGreedy() []int {
 //
 // Solve is deterministic: for a given problem it always returns the same
 // cover — the greedy cover when greedy is already optimal, otherwise the
-// first optimal-cost cover in the solver's fixed depth-first branch order.
-// Every exact backend reproduces this canonical cover bit-identically.
+// first optimal-cost cover in the search's fixed depth-first branch
+// order. That cover is the canonical one the golden synthesis documents
+// and memo entries hold.
 func (p *CoveringProblem) Solve() (cols []int, exact bool) {
-	cols, exact, _ = p.solveBB(p.Cancel, nil)
-	return cols, exact
-}
-
-// solveBB runs the bitset branch-and-bound search. hint, when non-nil, may
-// asynchronously publish a proven optimal cost (from a racing backend); the
-// search stops early once its incumbent matches the hint, still returning
-// the canonical cover. usedHint reports whether the early stop fired.
-func (p *CoveringProblem) solveBB(cancel func() error, hint *atomic.Int64) (cols []int, exact bool, usedHint bool) {
-	for _, r := range p.Rows {
-		if len(r) == 0 {
-			return nil, false, false
-		}
-	}
-	cost := p.unitOr()
-	greedy := p.greedy(cost)
-	s := newBBSearch(p, cost, cancel, hint)
-	s.seed(greedy, totalCost(greedy, cost))
-	s.run()
-	best := append([]int(nil), s.best...)
-	sort.Ints(best)
-	obs.Add("solver/bb/solves", 1)
-	obs.Add("solver/bb/steps", s.steps)
-	obs.Add("solver/bb/cutoffs", s.cutoffs)
-	return best, !s.aborted, s.stopped
-}
-
-// solveBBGuided reruns the branch-and-bound with a pre-proven optimal cost
-// (from another exact backend): the upper bound starts at optCost+1 and the
-// search stops at the first cover of cost optCost, which is exactly the
-// cover sequential Solve would return. Greedy-optimal instances return the
-// greedy cover directly, also matching Solve.
-func (p *CoveringProblem) solveBBGuided(cancel func() error, optCost int) (cols []int, exact bool) {
 	for _, r := range p.Rows {
 		if len(r) == 0 {
 			return nil, false
@@ -117,29 +84,15 @@ func (p *CoveringProblem) solveBBGuided(cancel func() error, optCost int) (cols 
 	}
 	cost := p.unitOr()
 	greedy := p.greedy(cost)
-	gc := totalCost(greedy, cost)
-	if gc <= optCost {
-		// Greedy is optimal; Solve's branch-and-bound would never find a
-		// strictly cheaper cover and would return the greedy seed.
-		sort.Ints(greedy)
-		return greedy, true
-	}
-	var hint atomic.Int64
-	hint.Store(int64(optCost))
-	s := newBBSearch(p, cost, cancel, &hint)
-	// Keep greedy as the fallback cover but bound the search at optCost+1
-	// so only covers of cost ≤ optCost are committed.
-	s.seed(greedy, optCost+1)
+	s := newBBSearch(p, cost)
+	s.seed(greedy, totalCost(greedy, cost))
 	s.run()
 	best := append([]int(nil), s.best...)
 	sort.Ints(best)
 	obs.Add("solver/bb/solves", 1)
 	obs.Add("solver/bb/steps", s.steps)
 	obs.Add("solver/bb/cutoffs", s.cutoffs)
-	// Exact only if the guided search actually reached a cover of the
-	// proven optimal cost (otherwise the budget blew and we still hold the
-	// greedy fallback).
-	return best, !s.aborted && s.bestCost <= optCost
+	return best, !s.aborted
 }
 
 func totalCost(cols []int, cost []int) int {
@@ -160,7 +113,6 @@ type bbSearch struct {
 	rowList      [][]int  // row → ascending column indices
 	budget       int64
 	cancel       func() error
-	hint         *atomic.Int64
 
 	best     []int
 	bestCost int
@@ -169,7 +121,6 @@ type bbSearch struct {
 	steps   int64
 	cutoffs int64
 	aborted bool // budget blown or cancelled: result may be inexact
-	stopped bool // incumbent matched a proven optimal cost: result exact
 
 	// Free lists of row-width and column-width bitsets, reused across
 	// branch nodes.
@@ -187,14 +138,13 @@ type bbSearch struct {
 	effIdx  []int
 }
 
-func newBBSearch(p *CoveringProblem, cost []int, cancel func() error, hint *atomic.Int64) *bbSearch {
+func newBBSearch(p *CoveringProblem, cost []int) *bbSearch {
 	s := &bbSearch{
 		nRows:  len(p.Rows),
 		nCols:  p.NumCols,
 		cost:   cost,
 		budget: int64(p.budget()),
-		cancel: cancel,
-		hint:   hint,
+		cancel: p.Cancel,
 	}
 	s.rowCols = make([]bitset, s.nRows)
 	s.rowList = make([][]int, s.nRows)
@@ -261,10 +211,6 @@ func (s *bbSearch) run() {
 	s.freeColSet(activeCols)
 }
 
-// done reports whether the search should unwind (budget, cancel, or proven
-// optimum reached).
-func (s *bbSearch) done() bool { return s.aborted || s.stopped }
-
 // node explores one branch-and-bound node. activeRows/activeCols are owned
 // by the caller and are mutated freely (the caller passes copies).
 func (s *bbSearch) node(activeRows, activeCols bitset, acc int, root bool) {
@@ -276,14 +222,6 @@ func (s *bbSearch) node(activeRows, activeCols bitset, acc int, root bool) {
 	if s.cancel != nil && s.steps%cancelCheckInterval == 0 && s.cancel() != nil {
 		s.aborted = true
 		return
-	}
-	if s.hint != nil {
-		if h := s.hint.Load(); h >= 0 && int64(s.bestCost) <= h {
-			// A racing backend proved our incumbent optimal; the incumbent
-			// is already the canonical (first-in-branch-order) cover.
-			s.stopped = true
-			return
-		}
 	}
 	if acc >= s.bestCost {
 		s.cutoffs++
@@ -386,11 +324,6 @@ func (s *bbSearch) node(activeRows, activeCols bitset, acc int, root bool) {
 		// essential-column addition).
 		s.best = append(s.best[:0], s.chosen...)
 		s.bestCost = acc
-		if s.hint != nil {
-			if h := s.hint.Load(); h >= 0 && int64(acc) <= h {
-				s.stopped = true
-			}
-		}
 		s.chosen = s.chosen[:mark]
 		return
 	}
@@ -425,7 +358,7 @@ func (s *bbSearch) node(activeRows, activeCols bitset, acc int, root bool) {
 		s.chosen = append(s.chosen, c)
 		s.node(childRows, childCols, acc+s.cost[c], false)
 		s.chosen = s.chosen[:len(s.chosen)-1]
-		if s.done() {
+		if s.aborted {
 			break
 		}
 		// Sibling exclusion: covers containing c are fully explored.

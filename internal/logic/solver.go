@@ -10,71 +10,38 @@ import "fmt"
 // cover, even one of equal cost.
 const SolverVersion = "covering-v2"
 
-// Solver selects a covering backend. The zero value is SolverBB, the
-// deterministic branch-and-bound reference whose answers define the
-// canonical cover for every exact backend.
+// Solver selects a covering mode. The numbers are part of persisted memo
+// and stage keys, so a mode keeps its number for good.
 type Solver int
 
-// Covering solver backends.
+// Covering modes.
 const (
-	// SolverBB is the deterministic branch-and-bound reference solver
-	// (bitset matrix, dual-ascent lower bound, dominance reductions).
-	SolverBB Solver = iota
-	// SolverPB is the pseudo-Boolean backend: SAT-style unit propagation
-	// over the row clauses with incremental cost tightening.
-	SolverPB
+	// SolverBB is the exact branch-and-bound search (bitset matrix,
+	// dual-ascent lower bound, dominance reductions); its answers define
+	// the canonical cover.
+	SolverBB Solver = 0
 	// SolverGreedy is the non-exact greedy heuristic (best cost/coverage
-	// ratio first).
-	SolverGreedy
-	// SolverPortfolio races SolverBB and SolverPB (both seeded by the
-	// greedy incumbent) and cancels the loser; exact results are
-	// bit-identical to SolverBB's.
-	SolverPortfolio
+	// ratio first), which also seeds SolverBB's incumbent.
+	SolverGreedy Solver = 2
 )
 
 func (s Solver) String() string {
 	switch s {
 	case SolverBB:
 		return "bb"
-	case SolverPB:
-		return "pb"
 	case SolverGreedy:
 		return "greedy"
-	case SolverPortfolio:
-		return "portfolio"
 	default:
 		return fmt.Sprintf("Solver(%d)", int(s))
 	}
 }
 
-// ParseSolver maps a CLI/API name to a Solver.
-func ParseSolver(name string) (Solver, error) {
-	switch name {
-	case "", "bb":
-		return SolverBB, nil
-	case "pb":
-		return SolverPB, nil
-	case "greedy":
-		return SolverGreedy, nil
-	case "portfolio":
-		return SolverPortfolio, nil
-	default:
-		return SolverBB, fmt.Errorf("logic: unknown covering solver %q (want bb, pb, greedy or portfolio)", name)
-	}
-}
-
-// SolveWith dispatches to the selected backend. Greedy reports exact =
-// false (its cover is feasible but unproven); the exact backends report
+// SolveWith dispatches to the selected mode. Greedy reports exact =
+// false (its cover is feasible but unproven); branch-and-bound reports
 // whether the search completed within the step budget.
 func (p *CoveringProblem) SolveWith(s Solver) (cols []int, exact bool) {
-	switch s {
-	case SolverPB:
-		return p.SolvePB()
-	case SolverGreedy:
+	if s == SolverGreedy {
 		return p.SolveGreedy(), false
-	case SolverPortfolio:
-		return p.SolvePortfolio()
-	default:
-		return p.Solve()
 	}
+	return p.Solve()
 }

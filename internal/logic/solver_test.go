@@ -63,37 +63,62 @@ func assertIsCover(t *testing.T, p *CoveringProblem, cols []int, who string) {
 	}
 }
 
-// TestSolverCrossCheck is the covering-solver cross-check corpus: on random
-// weighted instances every exact backend must agree on the optimal cover
-// cost, and the portfolio must reproduce sequential B&B's cover
-// bit-identically.
+// referenceCost is the optimal cover cost found by plain depth-first
+// search: branch on every column of the first uncovered row, and prune a
+// branch once its cost reaches the best cover found. It has no reductions
+// and no lower bound, so it shares no logic with the search it checks.
+func referenceCost(p *CoveringProblem) int {
+	best := int(^uint(0) >> 1)
+	chosen := make([]bool, p.NumCols)
+	var dfs func(acc int)
+	dfs = func(acc int) {
+		if acc >= best {
+			return
+		}
+		for _, row := range p.Rows {
+			covered := false
+			for _, c := range row {
+				covered = covered || chosen[c]
+			}
+			if covered {
+				continue
+			}
+			for _, c := range row {
+				chosen[c] = true
+				dfs(acc + coverCost(p, []int{c}))
+				chosen[c] = false
+			}
+			return
+		}
+		best = acc
+	}
+	dfs(0)
+	return best
+}
+
+// TestSolverCrossCheck is the covering-solver cross-check corpus: on
+// random weighted instances branch-and-bound must prove a cover of the
+// reference search's optimal cost, and greedy must never beat it.
 func TestSolverCrossCheck(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for iter := 0; iter < 120; iter++ {
 		p := randomProblem(r, 2+r.Intn(12), 2+r.Intn(20))
 
 		bb, bbExact := p.Solve()
-		pb, pbExact := p.SolvePB()
-		pf, pfExact := p.SolvePortfolio()
 		greedy := p.SolveGreedy()
 
-		if !bbExact || !pbExact || !pfExact {
-			t.Fatalf("iter %d: exact flags bb=%v pb=%v portfolio=%v, want all true", iter, bbExact, pbExact, pfExact)
+		if !bbExact {
+			t.Fatalf("iter %d: bb inexact", iter)
 		}
 		assertIsCover(t, p, bb, "bb")
-		assertIsCover(t, p, pb, "pb")
-		assertIsCover(t, p, pf, "portfolio")
 		assertIsCover(t, p, greedy, "greedy")
 
-		bbCost, pbCost := coverCost(p, bb), coverCost(p, pb)
-		if bbCost != pbCost {
-			t.Errorf("iter %d: bb cost %d != pb cost %d", iter, bbCost, pbCost)
+		bbCost := coverCost(p, bb)
+		if want := referenceCost(p); bbCost != want {
+			t.Errorf("iter %d: bb cost %d, reference optimum %d", iter, bbCost, want)
 		}
 		if coverCost(p, greedy) < bbCost {
 			t.Errorf("iter %d: greedy cover cheaper than proven optimum", iter)
-		}
-		if !reflect.DeepEqual(pf, bb) {
-			t.Errorf("iter %d: portfolio cover %v != sequential bb cover %v", iter, pf, bb)
 		}
 	}
 }
@@ -117,64 +142,39 @@ func TestSolverCrossCheckUnitCosts(t *testing.T) {
 			}
 			p.Rows = append(p.Rows, row)
 		}
-		want := bruteForceCover(p)
-		for _, s := range []Solver{SolverBB, SolverPB, SolverPortfolio} {
-			cols, exact := p.SolveWith(s)
-			if !exact {
-				t.Fatalf("iter %d: %v inexact on tiny instance", iter, s)
-			}
-			assertIsCover(t, p, cols, s.String())
-			if len(cols) != want {
-				t.Errorf("iter %d: %v found %d cols, brute force %d", iter, s, len(cols), want)
-			}
-		}
-	}
-}
-
-// TestPortfolioDeterministic: repeated portfolio solves of one instance
-// return byte-identical covers regardless of race outcomes.
-func TestPortfolioDeterministic(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	p := randomProblem(r, 14, 24)
-	want, exact := p.Solve()
-	if !exact {
-		t.Fatal("reference solve inexact")
-	}
-	for i := 0; i < 25; i++ {
-		got, exact := p.SolvePortfolio()
+		cols, exact := p.Solve()
 		if !exact {
-			t.Fatalf("run %d: portfolio inexact", i)
+			t.Fatalf("iter %d: bb inexact on tiny instance", iter)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("run %d: portfolio cover %v != %v", i, got, want)
+		assertIsCover(t, p, cols, "bb")
+		if want := bruteForceCover(p); len(cols) != want {
+			t.Errorf("iter %d: bb found %d cols, brute force %d", iter, len(cols), want)
 		}
 	}
 }
 
-// TestSolverInfeasible: every backend reports an uncoverable row the same
-// way.
+// TestSolverInfeasible: both covering modes report an uncoverable row the
+// same way.
 func TestSolverInfeasible(t *testing.T) {
 	p := &CoveringProblem{NumCols: 2, Rows: [][]int{{0}, {}}}
-	for _, s := range []Solver{SolverBB, SolverPB, SolverGreedy, SolverPortfolio} {
+	for _, s := range []Solver{SolverBB, SolverGreedy} {
 		if cols, exact := p.SolveWith(s); cols != nil || exact {
 			t.Errorf("%v on infeasible: cols=%v exact=%v, want nil false", s, cols, exact)
 		}
 	}
 }
 
-// TestSolverBudget: a tiny step budget aborts the exact searches but still
+// TestSolverBudget: a tiny step budget aborts the exact search but still
 // returns a feasible (greedy-seeded) cover flagged inexact.
 func TestSolverBudget(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	p := randomProblem(r, 30, 60)
 	p.Budget = 4
-	for _, s := range []Solver{SolverBB, SolverPB} {
-		cols, exact := p.SolveWith(s)
-		if exact {
-			t.Errorf("%v: 4-step budget should not complete a 30×60 search", s)
-		}
-		assertIsCover(t, p, cols, s.String())
+	cols, exact := p.Solve()
+	if exact {
+		t.Error("4-step budget should not complete a 30×60 search")
 	}
+	assertIsCover(t, p, cols, "bb")
 }
 
 // TestSolverCancel: a cancelled problem aborts promptly and reports
@@ -184,40 +184,16 @@ func TestSolverCancel(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	p := randomProblem(r, 30, 60)
 	p.Cancel = func() error { return errStop }
-	for _, s := range []Solver{SolverBB, SolverPB, SolverPortfolio} {
-		cols, exact := p.SolveWith(s)
-		// With an immediately-failing Cancel the search may still finish
-		// within the first poll interval; all that is required is that an
-		// aborted result is feasible and inexactness is never hidden.
-		if exact && s != SolverPortfolio {
-			// The 30×60 instance needs far more than one poll interval.
-			t.Logf("%v finished before the first cancel poll", s)
-		}
-		if cols != nil {
-			assertIsCover(t, p, cols, s.String())
-		}
+	cols, exact := p.Solve()
+	// With an immediately-failing Cancel the search may still finish
+	// within the first poll interval; all that is required is that an
+	// aborted result is feasible and inexactness is never hidden.
+	if exact {
+		// The 30×60 instance needs far more than one poll interval.
+		t.Log("bb finished before the first cancel poll")
 	}
-}
-
-// TestParseSolver covers the CLI name mapping.
-func TestParseSolver(t *testing.T) {
-	for name, want := range map[string]Solver{
-		"": SolverBB, "bb": SolverBB, "pb": SolverPB,
-		"greedy": SolverGreedy, "portfolio": SolverPortfolio,
-	} {
-		got, err := ParseSolver(name)
-		if err != nil || got != want {
-			t.Errorf("ParseSolver(%q) = %v, %v; want %v", name, got, err, want)
-		}
-	}
-	if _, err := ParseSolver("z3"); err == nil {
-		t.Error("ParseSolver(z3) should fail")
-	}
-	for _, s := range []Solver{SolverBB, SolverPB, SolverGreedy, SolverPortfolio} {
-		back, err := ParseSolver(s.String())
-		if err != nil || back != s {
-			t.Errorf("round-trip %v failed: %v, %v", s, back, err)
-		}
+	if cols != nil {
+		assertIsCover(t, p, cols, "bb")
 	}
 }
 
@@ -259,13 +235,13 @@ func worstCoverFixture(tb testing.TB) *CoveringProblem {
 	return &CoveringProblem{NumCols: f.NumCols, Rows: f.Rows, Cost: f.Cost}
 }
 
-// BenchmarkCoveringWorstCase times each backend on the captured GCD worst
-// covering matrix (44 rows × 133 columns) — the instance behind the slowest
-// hfmin output of the three paper benchmarks. scripts/verify.sh records the
-// trajectory in BENCH_covering.json.
+// BenchmarkCoveringWorstCase times each covering mode on the captured GCD
+// worst covering matrix (44 rows × 133 columns) — the instance behind the
+// slowest hfmin output of the three paper benchmarks. scripts/verify.sh
+// records the trajectory in BENCH_covering.json.
 func BenchmarkCoveringWorstCase(b *testing.B) {
 	p := worstCoverFixture(b)
-	for _, s := range []Solver{SolverBB, SolverPB, SolverPortfolio, SolverGreedy} {
+	for _, s := range []Solver{SolverBB, SolverGreedy} {
 		b.Run(s.String(), func(b *testing.B) {
 			var cols []int
 			for i := 0; i < b.N; i++ {
@@ -277,9 +253,9 @@ func BenchmarkCoveringWorstCase(b *testing.B) {
 	}
 }
 
-// TestGCDWorstCaseFixture cross-checks all backends on the captured GCD
-// worst covering instance: equal optimal cost, portfolio bit-identical to
-// sequential B&B, exact status preserved.
+// TestGCDWorstCaseFixture pins branch-and-bound's proven optimum on the
+// captured GCD worst covering instance: 10 columns at cost 41104, an
+// optimum an independent pseudo-Boolean search also proved.
 func TestGCDWorstCaseFixture(t *testing.T) {
 	p := worstCoverFixture(t)
 	bb, bbExact := p.Solve()
@@ -288,24 +264,9 @@ func TestGCDWorstCaseFixture(t *testing.T) {
 	}
 	assertIsCover(t, p, bb, "bb")
 	bbCost := coverCost(p, bb)
-
-	pb, pbExact := p.SolvePB()
-	if !pbExact {
-		t.Fatal("pb inexact on the GCD worst instance")
+	if len(bb) != 10 || bbCost != 41104 {
+		t.Errorf("bb cover has %d columns at cost %d, want 10 at 41104", len(bb), bbCost)
 	}
-	assertIsCover(t, p, pb, "pb")
-	if c := coverCost(p, pb); c != bbCost {
-		t.Errorf("pb cost %d != bb cost %d", c, bbCost)
-	}
-
-	pf, pfExact := p.SolvePortfolio()
-	if !pfExact {
-		t.Fatal("portfolio inexact on the GCD worst instance")
-	}
-	if !reflect.DeepEqual(pf, bb) {
-		t.Errorf("portfolio cover %v != bb cover %v", pf, bb)
-	}
-
 	if g := coverCost(p, p.SolveGreedy()); g < bbCost {
 		t.Errorf("greedy cover cheaper (%d) than proven optimum (%d)", g, bbCost)
 	}

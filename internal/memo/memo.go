@@ -13,13 +13,14 @@
 //
 // A problem is identified by the SHA-256 hash of the canonical form of its
 // hfmin.Spec (transitions sorted by the total order on (kind, start, end)
-// cube keys — see hfmin.Spec.Canonical) together with the covering backend
-// (logic.Solver), logic.SolverVersion and a package-version salt. Logically
-// identical specs collide regardless of construction order; bumping Salt or
+// cube keys — see hfmin.Spec.Canonical) together with the covering mode
+// (logic.Solver: exact branch-and-bound or the greedy heuristic),
+// logic.SolverVersion and a package-version salt. Logically identical
+// specs collide regardless of construction order; bumping Salt or
 // logic.SolverVersion when minimizer or solver behaviour changes
 // invalidates every previously persisted entry rather than silently
-// replaying stale covers. The backend is part of the key because inexact
-// outcomes (budget-limited searches) may legitimately differ per backend.
+// replaying stale covers. The mode is part of the key because the exact
+// and heuristic covers of one spec differ.
 //
 // # In-memory tier and deduplication
 //
@@ -82,50 +83,29 @@ import (
 const Salt = "memo-v1/hfmin-v1"
 
 // Cache memoizes hfmin.Minimize and hfmin.MinimizeHeuristic as hfmin
-// records in a Store. The zero value is not usable; call New, NewSolver
-// or OnStore. A nil *Cache is a valid pass-through that memoizes nothing.
+// records in a Store. The zero value is not usable; call New or OnStore.
+// A nil *Cache is a valid pass-through that memoizes nothing.
 type Cache struct {
-	store  *Store
-	solver logic.Solver // covering backend for exact minimizations
+	store *Store
 }
 
 // New returns a cache over a store of its own. A non-empty dir enables
 // the persistent tier (the directory is created if needed); the empty
 // string selects in-memory-only operation.
 func New(dir string) (*Cache, error) {
-	return NewSolver(dir, logic.SolverBB)
-}
-
-// NewSolver is New with an explicit covering backend for the exact
-// minimizations routed through the cache. The backend is fixed at
-// construction because it is part of every cache key — entries computed by
-// different backends are never shared (exact results would be identical,
-// but budget-limited inexact ones may not be).
-func NewSolver(dir string, solver logic.Solver) (*Cache, error) {
 	store, err := NewStore(dir)
 	if err != nil {
 		return nil, err
 	}
-	return OnStore(store, solver), nil
+	return OnStore(store), nil
 }
 
 // OnStore returns a cache that keeps its records in store, which the
 // caller may share with other kinds — the daemon hands one store to both
 // this cache and the stage engine, so one directory, one byte cap and
 // one remote tier serve both. store must be non-nil.
-func OnStore(store *Store, solver logic.Solver) *Cache {
-	return &Cache{store: store, solver: solver}
-}
-
-// Solver returns the covering backend the cache was constructed with.
-// Cached entries are keyed by it, so downstream cache keys (the stage
-// engine's synth keys) must use this backend — not a caller-side flag —
-// when a Cache is the pipeline's Minimizer.
-func (c *Cache) Solver() logic.Solver {
-	if c == nil {
-		return logic.SolverBB
-	}
-	return c.solver
+func OnStore(store *Store) *Cache {
+	return &Cache{store: store}
 }
 
 // Stats returns the lookup counters of the hfmin records in the cache's
@@ -153,9 +133,7 @@ func (c *Cache) MinimizeCtx(ctx context.Context, spec hfmin.Spec) (hfmin.Result,
 	if c == nil {
 		return hfmin.MinimizeCtx(ctx, spec)
 	}
-	return c.lookup(ctx, spec, c.solver, func(ctx context.Context, s hfmin.Spec) (hfmin.Result, error) {
-		return hfmin.MinimizeSolver(ctx, s, c.solver)
-	})
+	return c.lookup(ctx, spec, logic.SolverBB, hfmin.MinimizeCtx)
 }
 
 // MinimizeHeuristic is hfmin.MinimizeHeuristic behind the cache; the
@@ -170,7 +148,7 @@ func (c *Cache) MinimizeHeuristic(spec hfmin.Spec) (hfmin.Result, error) {
 
 // Key returns the content-addressed cache key of (spec, solver): the
 // SHA-256 hash of the version salt, logic.SolverVersion, the covering
-// backend id and the canonical transition list. Exported for tests and
+// mode's number and the canonical transition list. Exported for tests and
 // diagnostics.
 func Key(spec hfmin.Spec, solver logic.Solver) [sha256.Size]byte {
 	return canonicalKey(spec.Canonical(), solver)

@@ -58,14 +58,26 @@ func TestKeyOrderIndependent(t *testing.T) {
 	if Key(a, logic.SolverBB) == Key(a, logic.SolverGreedy) {
 		t.Error("exact and heuristic keys must differ")
 	}
-	if Key(a, logic.SolverBB) == Key(a, logic.SolverPortfolio) {
-		t.Error("different exact backends must not share keys")
-	}
 	c := simpleSpec()
 	c.Transitions[0].Kind = hfmin.Static0
 	c.Transitions[1].Kind = hfmin.Static1
 	if Key(a, logic.SolverBB) == Key(c, logic.SolverBB) {
 		t.Error("different specs must produce different keys")
+	}
+}
+
+// TestKeyGolden pins the key bytes of one spec under each covering mode.
+// Entries persisted in a -cache-dir or held by fleet peers are found by
+// these bytes, so a change to the salts, the hashed layout or a Solver's
+// number must show up here rather than orphan every stored entry.
+func TestKeyGolden(t *testing.T) {
+	for solver, want := range map[logic.Solver]string{
+		logic.SolverBB:     "1d0c50241e8589d675e70a7dc90a2748e1f6b4ea1f6c57a55a545cb0f58f3fea",
+		logic.SolverGreedy: "ffc503ee108e39ba859a2f5e89db276cf3b258245580c3314bbda7135c9d5fb1",
+	} {
+		if got := hexKey(simpleSpec(), solver); got != want {
+			t.Errorf("Key(simpleSpec, %v) = %s, want %s", solver, got, want)
+		}
 	}
 }
 

@@ -68,7 +68,7 @@ func cacheOn(t *testing.T, dir string) (*Cache, *Store) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return OnStore(s, logic.SolverBB), s
+	return OnStore(s), s
 }
 
 // wrap puts a record payload in the store's envelope, as the disk and

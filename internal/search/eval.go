@@ -103,7 +103,7 @@ type Options struct {
 	// search, so sibling states that re-pose a controller's minimization
 	// problems hit instead of re-solving.
 	Minimizer synth.Minimizer
-	// Solver is the covering backend when no Minimizer is supplied.
+	// Solver is the covering mode when no Minimizer is supplied.
 	Solver logic.Solver
 	// Seeds overrides the initial frontier (default StandardPlans).
 	Seeds []Plan

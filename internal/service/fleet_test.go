@@ -14,7 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/diffeq"
 	"repro/internal/fleet"
-	"repro/internal/logic"
 	"repro/internal/memo"
 	"repro/internal/obs"
 )
@@ -243,7 +242,7 @@ func startFleet(t *testing.T, n int) []*fleetNode {
 		}
 		peers := fleet.NewPeers(others, fleet.PeerOptions{})
 		store.SetRemote(fleet.NewCacheClient(others, peers, fleet.CacheClientOptions{}), time.Second)
-		cache := memo.OnStore(store, logic.SolverBB)
+		cache := memo.OnStore(store)
 		m := New(Config{
 			Concurrency: 2,
 			Parallelism: 2,
@@ -457,7 +456,7 @@ func TestNodeOfAndCacheEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(Config{Concurrency: 1, Minimizer: memo.OnStore(store, logic.SolverBB)})
+	m := New(Config{Concurrency: 1, Minimizer: memo.OnStore(store)})
 	defer m.Close()
 	srv := newTestServer(t, m.FleetHandler(FleetConfig{Self: "http://127.0.0.1:1", Store: store}))
 	resp, err := http.Get(srv + "/v1/cache/nothex")

@@ -162,11 +162,6 @@ type Config struct {
 	// cheap. Results are bit-identical to a cold core run. Nil selects a
 	// private in-memory engine (stage.New(nil)).
 	Engine *stage.Engine
-	// Solver selects the covering backend for exact minimizations when no
-	// Minimizer is configured (a memo cache fixes its backend at
-	// construction; see memo.NewSolver). Zero value is the
-	// branch-and-bound reference.
-	Solver logic.Solver
 	// SearchWaves, SearchBeam and SearchBudget size the rewrite search
 	// behind ModeSearch jobs. Zero values select a bounded service profile
 	// (1 wave, beam 2, 16 evaluations) — deliberately tighter than the CLI
@@ -432,6 +427,9 @@ func (m *Manager) SubmitKeyed(graph *cdfg.Graph, level core.Level, mode Mode, ke
 		subs:      1,
 		submitted: time.Now(),
 	}
+	// Log queued before the job is on the queue: a runner may dequeue it
+	// at once and push running, which must not come first.
+	job.pushState(StateQueued, nil)
 	select {
 	case m.queue <- job:
 	default:
@@ -446,7 +444,6 @@ func (m *Manager) SubmitKeyed(graph *cdfg.Graph, level core.Level, mode Mode, ke
 	}
 	obs.Add("service/jobs_submitted", 1)
 	obs.Set("service/jobs_queued", int64(len(m.queue)))
-	job.pushState(StateQueued, nil)
 	return job, nil
 }
 
@@ -650,7 +647,6 @@ func (m *Manager) synthesize(ctx context.Context, job *Job) ([]byte, error) {
 		Transform:   transform.DefaultOptions(),
 		Parallelism: m.perJobWorkers(),
 		Minimizer:   m.cfg.Minimizer,
-		Solver:      m.cfg.Solver,
 	}
 	return m.realize(ctx, job.graph, opts)
 }
@@ -682,11 +678,10 @@ func (m *Manager) searchJob(ctx context.Context, job *Job) ([]byte, error) {
 		Budget:     m.cfg.SearchBudget,
 		Synthesize: true,
 		Minimizer:  m.cfg.Minimizer,
-		Solver:     m.cfg.Solver,
 	})
 	if err != nil {
 		return nil, err
 	}
-	copt := res.Best.Plan.CoreOptions(perJob, m.cfg.Minimizer, m.cfg.Solver)
+	copt := res.Best.Plan.CoreOptions(perJob, m.cfg.Minimizer, logic.SolverBB)
 	return m.realize(ctx, job.graph, copt)
 }

@@ -191,15 +191,12 @@ func hashTransformOptions(h hash.Hash, topt transform.Options) {
 	}
 }
 
-// effectiveSolver resolves the covering backend the synth stage will
-// actually minimize with: a memo cache carries its own backend (fixed at
-// construction, part of its keys), overriding Options.Solver; without a
-// backend-carrying minimizer the option stands.
+// effectiveSolver resolves the covering mode the synth stage will
+// actually minimize with: a Minimizer minimizes with branch-and-bound,
+// overriding Options.Solver, which only the direct hfmin path reads.
 func effectiveSolver(opt core.Options) logic.Solver {
 	if opt.Minimizer != nil {
-		if cs, ok := opt.Minimizer.(interface{ Solver() logic.Solver }); ok {
-			return cs.Solver()
-		}
+		return logic.SolverBB
 	}
 	return opt.Solver
 }

@@ -102,17 +102,7 @@ func SynthesizeMemo(m *bm.Machine, workers int, min Minimizer) (*Result, error) 
 // when it implements MinimizerCtx), so a cancelled job releases its pool
 // workers promptly. A cancelled synthesis returns ctx.Err().
 func SynthesizeCtx(ctx context.Context, m *bm.Machine, workers int, min Minimizer) (*Result, error) {
-	return SynthesizeSolver(ctx, m, workers, min, logic.SolverBB)
-}
-
-// SynthesizeSolver is SynthesizeCtx with an explicit covering backend for
-// the exact minimizations (see logic.Solver). The backend only applies on
-// the direct hfmin path (min == nil); a supplied Minimizer carries its own
-// backend configuration (internal/memo's cache is constructed with one).
-// Exact backends are bit-identical whenever their search completes, so the
-// solver choice affects wall time, not synthesized logic.
-func SynthesizeSolver(ctx context.Context, m *bm.Machine, workers int, min Minimizer, solver logic.Solver) (*Result, error) {
-	return SynthesizeRung(ctx, m, workers, min, solver, -1)
+	return SynthesizeRung(ctx, m, workers, min, logic.SolverBB, -1)
 }
 
 // attempt is one rung of the encoding-attempt ladder.
@@ -146,11 +136,12 @@ func RungName(i int) string {
 	return names[i]
 }
 
-// SynthesizeRung is SynthesizeSolver restricted to a single rung of the
+// SynthesizeRung is SynthesizeCtx restricted to a single rung of the
 // encoding-attempt ladder (0-based; negative tries the whole ladder as
-// usual). Forcing a rung lets a rewrite search treat the encoding style as
-// an explicit decision instead of always accepting the first rung that
-// succeeds.
+// usual), with an explicit covering mode (see logic.Solver) for the direct
+// hfmin path; a supplied Minimizer ignores solver. Forcing a rung lets a
+// rewrite search treat the encoding style as an explicit decision instead
+// of always accepting the first rung that succeeds.
 func SynthesizeRung(ctx context.Context, m *bm.Machine, workers int, min Minimizer, solver logic.Solver, rung int) (_ *Result, err error) {
 	sp := obs.Start("synth", m.Name)
 	defer func() { sp.EndErr(err) }()

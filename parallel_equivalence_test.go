@@ -15,19 +15,16 @@ import (
 	"repro/internal/explore"
 	"repro/internal/fir"
 	"repro/internal/gcd"
-	"repro/internal/logic"
 )
 
-// benches enumerates the three benchmarks; synth marks the ones whose
-// gate-level synthesis is cheap enough to compare cover-for-cover.
+// benches enumerates the three benchmarks.
 var benches = []struct {
 	name  string
 	build func() *cdfg.Graph
-	synth bool
 }{
-	{"diffeq", func() *cdfg.Graph { return diffeq.Build(diffeq.DefaultParams()) }, true},
-	{"gcd", func() *cdfg.Graph { return gcd.Build(123, 45) }, true},
-	{"fir", func() *cdfg.Graph { return fir.Build(fir.DefaultParams()) }, false},
+	{"diffeq", func() *cdfg.Graph { return diffeq.Build(diffeq.DefaultParams()) }},
+	{"gcd", func() *cdfg.Graph { return gcd.Build(123, 45) }},
+	{"fir", func() *cdfg.Graph { return fir.Build(fir.DefaultParams()) }},
 }
 
 func runAt(t *testing.T, g *cdfg.Graph, workers int) *core.Synthesis {
@@ -69,9 +66,6 @@ func TestParallelRunEquivalence(t *testing.T) {
 					t.Errorf("j=%d: shared-wire maps differ: %v vs %v", j, par.Shared, seq.Shared)
 				}
 			}
-			if !bench.synth {
-				return
-			}
 			seqLogic, err := seq.SynthesizeLogic()
 			if err != nil {
 				t.Fatalf("sequential SynthesizeLogic: %v", err)
@@ -89,45 +83,6 @@ func TestParallelRunEquivalence(t *testing.T) {
 				}
 				if !reflect.DeepEqual(sr, pr) {
 					t.Errorf("%s: parallel synthesis result differs from sequential (covers/encoding)", fu)
-				}
-			}
-		})
-	}
-}
-
-// TestPortfolioSolverEquivalence asserts the racing covering portfolio is a
-// pure performance transform: the full pipeline with -solver=portfolio
-// synthesizes bit-identical gate-level results to the sequential
-// branch-and-bound default on every benchmark, at sequential and parallel
-// worker counts.
-func TestPortfolioSolverEquivalence(t *testing.T) {
-	runWith := func(t *testing.T, g *cdfg.Graph, solver logic.Solver, workers int) map[string]any {
-		t.Helper()
-		opt := core.DefaultOptions()
-		opt.Solver = solver
-		opt.Parallelism = workers
-		s, err := core.Run(g, opt)
-		if err != nil {
-			t.Fatalf("core.Run (%v, j=%d): %v", solver, workers, err)
-		}
-		results, err := s.SynthesizeLogic()
-		if err != nil {
-			t.Fatalf("SynthesizeLogic (%v, j=%d): %v", solver, workers, err)
-		}
-		out := make(map[string]any, len(results))
-		for fu, r := range results {
-			out[fu] = r
-		}
-		return out
-	}
-	for _, bench := range benches {
-		bench := bench
-		t.Run(bench.name, func(t *testing.T) {
-			want := runWith(t, bench.build(), logic.SolverBB, 1)
-			for _, j := range []int{1, 4} {
-				got := runWith(t, bench.build(), logic.SolverPortfolio, j)
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("j=%d: portfolio synthesis differs from sequential B&B", j)
 				}
 			}
 		})

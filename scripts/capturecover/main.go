@@ -1,16 +1,16 @@
 // Command capturecover extracts the hazard-free covering workload of a
 // benchmark: it runs the full pipeline with an instrumented minimizer,
 // rebuilds the unate covering problem of every exact minimization the
-// encoding ladder dispatched, times each one under the configured solver
-// backends, and reports the worst instance. With -fixture it writes that
-// instance as a JSON covering matrix (the format loaded by
-// internal/logic's worst-case tests and BenchmarkCoveringWorstCase).
+// encoding ladder dispatched, times each one's branch-and-bound solve
+// (logic.CoveringProblem.Solve), and reports the worst instance. With
+// -fixture it writes that instance as a JSON covering matrix (the format
+// loaded by internal/logic's worst-case tests and
+// BenchmarkCoveringWorstCase).
 //
 // Usage:
 //
-//	go run ./scripts/capturecover [-bench gcd] [-solver bb,pb,portfolio]
-//	                              [-fixture out.json] [-spec-fixture out.json]
-//	                              [-top N]
+//	go run ./scripts/capturecover [-bench gcd] [-fixture out.json]
+//	                              [-spec-fixture out.json] [-top N]
 //
 // Besides the covering matrices, the tool times the complete
 // hfmin.Minimize call (analysis + dhf-prime generation + covering) of
@@ -46,7 +46,6 @@ import (
 
 var (
 	benchName = flag.String("bench", "gcd", "benchmark to capture: diffeq, gcd or fir")
-	solvers   = flag.String("solver", "bb", "comma-separated covering backends to time: bb, pb, portfolio, greedy")
 	fixture   = flag.String("fixture", "", "write the worst instance as a JSON covering matrix to this file")
 	specFix   = flag.String("spec-fixture", "", "write the spec with the slowest full minimization as JSON to this file")
 	top       = flag.Int("top", 5, "how many of the slowest instances to report")
@@ -171,65 +170,47 @@ func run() error {
 		fmt.Printf("spec fixture written to %s\n", *specFix)
 	}
 
-	backends := strings.Split(*solvers, ",")
 	type timed struct {
 		idx   int
 		rows  int
 		cols  int
-		times map[string]time.Duration
-		exact map[string]bool
+		time  time.Duration
+		exact bool
 		cost  int
 	}
 	results := make([]timed, 0, len(insts))
 	for i, in := range insts {
-		tr := timed{idx: i, rows: len(in.prob.Rows), cols: in.prob.NumCols,
-			times: map[string]time.Duration{}, exact: map[string]bool{}}
-		for _, b := range backends {
-			b = strings.TrimSpace(b)
-			solver, err := logic.ParseSolver(b)
-			if err != nil {
-				return err
+		tr := timed{idx: i, rows: len(in.prob.Rows), cols: in.prob.NumCols, time: -1}
+		var cols []int
+		for r := 0; r < *reps; r++ {
+			start := time.Now()
+			cols, tr.exact = in.prob.Solve()
+			if d := time.Since(start); tr.time < 0 || d < tr.time {
+				tr.time = d
 			}
-			best := time.Duration(-1)
-			var exact bool
-			var cols []int
-			for r := 0; r < *reps; r++ {
-				start := time.Now()
-				cols, exact = in.prob.SolveWith(solver)
-				if d := time.Since(start); best < 0 || d < best {
-					best = d
-				}
-			}
-			tr.times[b] = best
-			tr.exact[b] = exact
-			if cols != nil {
-				tr.cost = coverCost(in.prob, cols)
-			}
+		}
+		if cols != nil {
+			tr.cost = coverCost(in.prob, cols)
 		}
 		results = append(results, tr)
 	}
-	primary := strings.TrimSpace(backends[0])
-	sort.Slice(results, func(i, j int) bool { return results[i].times[primary] > results[j].times[primary] })
+	sort.Slice(results, func(i, j int) bool { return results[i].time > results[j].time })
 
 	n := *top
 	if n > len(results) {
 		n = len(results)
 	}
-	fmt.Printf("slowest %d instances by %s time:\n", n, primary)
+	fmt.Printf("slowest %d instances by covering time:\n", n)
 	for _, tr := range results[:n] {
-		fmt.Printf("  #%-3d %3d rows × %4d cols  cost %5d", tr.idx, tr.rows, tr.cols, tr.cost)
-		for _, b := range backends {
-			b = strings.TrimSpace(b)
-			fmt.Printf("  %s=%v(exact=%v)", b, tr.times[b], tr.exact[b])
-		}
-		fmt.Println()
+		fmt.Printf("  #%-3d %3d rows × %4d cols  cost %5d  %v(exact=%v)\n",
+			tr.idx, tr.rows, tr.cols, tr.cost, tr.time, tr.exact)
 	}
 	if len(results) > 0 {
 		var total time.Duration
 		for _, tr := range results {
-			total += tr.times[primary]
+			total += tr.time
 		}
-		fmt.Printf("total %s covering time across %d instances: %v\n", primary, len(results), total)
+		fmt.Printf("total covering time across %d instances: %v\n", len(results), total)
 	}
 
 	if *fixture != "" && len(results) > 0 {

@@ -118,12 +118,13 @@ stop_daemon
 echo "== server cancellation (DELETE frees pool workers without failing"
 echo "   the other in-flight jobs; asserted via obs pool gauges)"
 go test -race -run 'TestCancelFreesWorkersWithoutFailingOthers|TestHTTPBackpressureAndCancel' -count=1 ./internal/service
-echo "== covering solver cross-check (bb/pb/portfolio agree; portfolio"
-echo "   bit-identical to sequential B&B, corpus + GCD worst fixture +"
-echo "   full pipeline on all three benchmarks)"
-go test -race -run 'TestSolverCrossCheck|TestPortfolioDeterministic|TestGCDWorstCaseFixture' -count=1 ./internal/logic
+echo "== covering solver cross-check (bb's cost equals a plain reference"
+echo "   search on the random corpus, bb's pinned optima on the GCD worst"
+echo "   matrix and spec, full pipeline synthesis at -j 4 bit-identical to"
+echo "   -j 1 on all three benchmarks)"
+go test -race -run 'TestSolverCrossCheck|TestGCDWorstCaseFixture' -count=1 ./internal/logic
 go test -race -run 'TestWorstCaseSpecSolvers' -count=1 ./internal/hfmin
-go test -race -run 'TestPortfolioSolverEquivalence' -count=1 .
+go test -race -run 'TestParallelRunEquivalence' -count=1 .
 echo "== gate-level closure (synthesized logic verified on every registry"
 echo "   benchmark, including the formerly-failing FIR and AR)"
 go test -race -run 'TestGateClosureRegistry' -count=1 ./internal/bench
