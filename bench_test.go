@@ -24,12 +24,12 @@ import (
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/diffeq"
-	"repro/internal/explore"
 	"repro/internal/extract"
 	"repro/internal/fir"
 	"repro/internal/gcd"
 	"repro/internal/local"
 	"repro/internal/memo"
+	"repro/internal/search"
 	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/stage"
@@ -363,12 +363,19 @@ func BenchmarkFIRFullFlow(b *testing.B) {
 
 // --- Design-space exploration sweep ---------------------------------------
 
+// exploreSweep scores the standard ablation grid as a zero-wave search
+// and returns its rows.
+func exploreSweep(g *cdfg.Graph, opt search.Options) []search.State {
+	opt.Waves = -1
+	res, _ := search.Run(g, opt)
+	return res.Seeds
+}
+
 func BenchmarkExploreSweep(b *testing.B) {
 	var n int
 	for i := 0; i < b.N; i++ {
 		g := diffeq.Build(diffeq.DefaultParams())
-		scores := explore.Sweep(g, explore.AllVariants())
-		n = len(explore.Pareto(scores))
+		n = len(search.Pareto(exploreSweep(g, search.Options{Workers: 1})))
 	}
 	b.ReportMetric(float64(n), "pareto-points")
 }
@@ -461,14 +468,12 @@ var (
 
 func BenchmarkExploreSweepParallel(b *testing.B) {
 	g := diffeq.Build(diffeq.DefaultParams())
-	variants := explore.AllVariants()
-	base := seqBaseline(b, &sweepBaseOnce, &sweepBaseNs, func() { explore.Sweep(g.Clone(), variants) })
+	base := seqBaseline(b, &sweepBaseOnce, &sweepBaseNs, func() { exploreSweep(g, search.Options{Workers: 1}) })
 	for _, j := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("j=%d", j), func(b *testing.B) {
 			var n int
 			for i := 0; i < b.N; i++ {
-				scores := explore.SweepParallel(g.Clone(), variants, j)
-				n = len(explore.Pareto(scores))
+				n = len(search.Pareto(exploreSweep(g, search.Options{Workers: j})))
 			}
 			perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 			b.ReportMetric(base/perOp, "speedup")
@@ -591,9 +596,8 @@ var (
 
 func BenchmarkExploreSweepSynthMemoized(b *testing.B) {
 	g := diffeq.Build(diffeq.DefaultParams())
-	variants := explore.AllVariants()
 	sweep := func(min synth.Minimizer) {
-		explore.SweepWith(g.Clone(), variants, explore.Options{Workers: 1, Synthesize: true, Minimizer: min})
+		exploreSweep(g, search.Options{Workers: 1, Synthesize: true, Minimizer: min})
 	}
 	base := seqBaseline(b, &sweepSynthBaseOnce, &sweepSynthBaseNs, func() { sweep(nil) })
 	cache, err := memo.New("")

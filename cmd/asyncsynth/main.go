@@ -67,7 +67,6 @@ import (
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/diffeq"
-	"repro/internal/explore"
 	"repro/internal/frontend"
 	"repro/internal/memo"
 	"repro/internal/obs"
@@ -465,23 +464,29 @@ func simulate(args []string) error {
 	return nil
 }
 
+// doExplore runs the design-space sweep: a zero-wave search that scores
+// the standard ablation grid (search.StandardPlans) with gate-level
+// synthesis and prints one row per variant. A variant's failure is its
+// ERROR row, not the command's, so Run's "every plan failed" verdict is
+// not an error here: the table still prints every row.
 func doExplore(args []string) error {
 	g, _, _, err := buildBench(benchArg(args))
 	if err != nil {
 		return err
 	}
-	scores := explore.SweepWith(g, explore.AllVariants(), explore.Options{
+	res, _ := search.Run(g, search.Options{
 		Workers:    *jWorkers,
+		Waves:      -1,
 		Synthesize: true,
 		Minimizer:  minimizer,
 	})
-	fmt.Print(explore.Format(scores))
-	if best, ok := explore.Best(scores, func(s explore.Score) float64 { return s.Makespan }); ok {
-		fmt.Printf("\nfastest variant: %s (makespan %.1f)\n", best.Variant.Name, best.Makespan)
+	fmt.Print(search.FormatTable(res.Seeds))
+	if best, ok := search.Best(res.Seeds, func(s search.Score) float64 { return s.Makespan }); ok {
+		fmt.Printf("\nfastest variant: %s (makespan %.1f)\n", best.Plan.Name(), best.Score.Makespan)
 	}
 	fmt.Println("Pareto front (channels × states × makespan):")
-	for _, sc := range explore.Pareto(scores) {
-		fmt.Printf("  %s\n", sc.Variant.Name)
+	for _, st := range search.Pareto(res.Seeds) {
+		fmt.Printf("  %s\n", st.Plan.Name())
 	}
 	return nil
 }

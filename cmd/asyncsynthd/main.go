@@ -6,7 +6,7 @@
 //
 //	asyncsynthd [-addr host:port] [-queue-depth N] [-concurrency N]
 //	            [-j N] [-job-timeout D] [-drain-timeout D]
-//	            [-cache-dir dir] [-cache-max-bytes N] [-no-dedup]
+//	            [-cache-dir dir] [-cache-max-bytes N]
 //	            [-self URL] [-peers URL,URL,...] [-cache-peers URL,...]
 //	            [-cache-timeout D] [-health-interval D]
 //
@@ -47,8 +47,9 @@
 // hazard-free-minimization records and the incremental stage engine's
 // payloads — in one -cache-dir directory under one -cache-max-bytes cap
 // when persisted — and divide the -j worker budget across -concurrency
-// runners. Identical concurrent submissions collapse onto one job
-// (request-level dedup; -no-dedup restores a run per request). On
+// runners. Every submission is a job of its own, with its own ID; the
+// cache's singleflight runs each stage of identical concurrent
+// submissions once, and the others wait for its result. On
 // SIGINT/SIGTERM the daemon stops admitting, finishes queued and running
 // jobs (bounded by -drain-timeout, then force-cancels), and exits.
 //
@@ -96,7 +97,6 @@ var (
 	drainTimeout = flag.Duration("drain-timeout", 60*time.Second, "how long shutdown waits for in-flight jobs before force-cancelling")
 	cacheDir     = flag.String("cache-dir", "", "persist minimization results and stage payloads under this directory")
 	cacheMax     = flag.Int64("cache-max-bytes", 0, "cap the on-disk cache at this many bytes, evicting oldest entries (0 = unbounded)")
-	noDedup      = flag.Bool("no-dedup", false, "disable request-level dedup of identical submissions")
 
 	selfURL        = flag.String("self", "", "advertised base URL of this node (default http://<bound addr>)")
 	peerList       = flag.String("peers", "", "comma-separated base URLs of the other fleet nodes")
@@ -177,7 +177,6 @@ func run() int {
 		JobTimeout:  *jobTimeout,
 		Minimizer:   memo.OnStore(store),
 		Engine:      stage.New(store),
-		Dedup:       !*noDedup,
 	}
 	if len(peerURLs) > 0 {
 		// Fleet job IDs carry the node so peers can route polls.

@@ -8,10 +8,11 @@
 // extract (controller extraction), local (LT1–LT5), synth + hfmin + logic
 // (gate-level hazard-free synthesis), sim (token- and controller-level
 // simulation), timing (interval analysis), core (the assembled flow),
-// diffeq, gcd and fir (benchmarks), explore (design-space scripts),
-// par (the bounded worker pool every fan-out runs on) and obs (structured
-// tracing and per-stage metrics — the cmd/asyncsynth -trace/-metrics/
-// -pprof flags).
+// diffeq, gcd and fir (benchmarks), search (the cost-directed rewrite
+// search over transform plans, whose seeds-only run is the design-space
+// sweep of the paper's "scripts"), par (the bounded worker pool every
+// fan-out runs on) and obs (structured tracing and per-stage metrics —
+// the cmd/asyncsynth -trace/-metrics/-pprof flags).
 //
 // The root-level benchmarks (bench_test.go) regenerate every table and
 // figure of the paper's evaluation; see EXPERIMENTS.md for the comparison

@@ -10,9 +10,9 @@
 // through explicit messages (job forwarding, cache fills, health
 // probes), never through shared state. Every node can serve every
 // request; the ring is an optimization that concentrates identical work
-// on one owner so the memo tier and request-level dedup see it, and a
-// node that cannot reach an owner degrades to local execution rather
-// than failing the job.
+// on one owner so that node's cache sees it, and a node that cannot
+// reach an owner degrades to local execution rather than failing the
+// job.
 package fleet
 
 import (

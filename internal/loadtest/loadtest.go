@@ -374,6 +374,17 @@ func pollDone(ctx context.Context, base, id string) (jobStatus, error) {
 	}
 }
 
+// jobNode returns the base URL of the alive node that runs job id, as
+// named by the ID's node suffix ("" when that node is dead).
+func jobNode(f *Fleet, id string) string {
+	for _, u := range f.AliveURLs() {
+		if strings.TrimPrefix(u, "http://") == service.NodeOf(id) {
+			return u
+		}
+	}
+	return ""
+}
+
 // fetchResult returns the raw served synthesis document for a done job.
 func fetchResult(base, id string) ([]byte, error) {
 	resp, err := client.Get(base + "/v1/jobs/" + id + "/result")
@@ -491,7 +502,6 @@ type Report struct {
 	RemoteCorrupt  int64 `json:"remote_corrupt"`
 	Forwarded      int64 `json:"forwarded"`
 	Fallbacks      int64 `json:"forward_fallbacks"`
-	DedupHits      int64 `json:"dedup_hits"`
 
 	CrossVerified int `json:"cross_verified"`
 
@@ -604,8 +614,24 @@ func Run(f *Fleet, docs []Doc, opt RunOptions) *Report {
 		mu.Unlock()
 	}
 
+	// follow polls job id to a terminal state through base. Should base
+	// die, it follows the job on its own node: a job is stranded, and
+	// worth resubmitting, only when that node is gone too. (Every
+	// submission is a job of its own, so a resubmission would not
+	// reattach to the running job; it would run the document again.)
+	follow := func(ctx context.Context, base, id string) (jobStatus, string, error) {
+		st, err := pollDone(ctx, base, id)
+		if err != nil && ctx.Err() == nil {
+			if node := jobNode(f, id); node != "" && node != base {
+				base = node
+				st, err = pollDone(ctx, base, id)
+			}
+		}
+		return st, base, err
+	}
+
 	// runOne pushes one job through the fleet, resubmitting elsewhere if
-	// the serving node dies underneath it.
+	// the node running it dies underneath it.
 	runOne := func(i int) {
 		doc := docs[i%len(docs)]
 		storm := opt.CancelEvery > 0 && i%opt.CancelEvery == opt.CancelEvery-1
@@ -648,7 +674,7 @@ func Run(f *Fleet, docs []Doc, opt RunOptions) *Report {
 			}
 			if storm {
 				cancel(base, st.ID)
-				if _, err := pollDone(ctx, base, st.ID); err != nil {
+				if _, _, err := follow(ctx, base, st.ID); err != nil {
 					mu.Lock()
 					rep.Resubmits++
 					mu.Unlock()
@@ -659,7 +685,7 @@ func Run(f *Fleet, docs []Doc, opt RunOptions) *Report {
 				mu.Unlock()
 				return
 			}
-			final, err := pollDone(ctx, base, st.ID)
+			final, base, err := follow(ctx, base, st.ID)
 			if err != nil {
 				mu.Lock()
 				rep.Resubmits++
@@ -782,7 +808,6 @@ func Run(f *Fleet, docs []Doc, opt RunOptions) *Report {
 		rep.RemoteCorrupt += counters["memo/remote/corrupt"]
 		rep.Forwarded += counters["fleet/forwarded"]
 		rep.Fallbacks += counters["fleet/forward_fallbacks"]
-		rep.DedupHits += counters["service/dedup_hits"]
 	}
 	return rep
 }

@@ -238,7 +238,8 @@ func worstCoverFixture(tb testing.TB) *CoveringProblem {
 // BenchmarkCoveringWorstCase times each covering mode on the captured GCD
 // worst covering matrix (44 rows × 133 columns) — the instance behind the
 // slowest hfmin output of the three paper benchmarks. scripts/verify.sh
-// records the trajectory in BENCH_covering.json.
+// runs it as a smoke step; BENCH_covering.json keeps the trajectory of
+// earlier versions.
 func BenchmarkCoveringWorstCase(b *testing.B) {
 	p := worstCoverFixture(b)
 	for _, s := range []Solver{SolverBB, SolverGreedy} {

@@ -60,10 +60,10 @@ type SpanEvent struct {
 	// increasing in completion order.
 	ID uint64 `json:"id"`
 	// Stage is the pipeline stage name ("gt1".."gt5", "extract",
-	// "lt1".."lt5", "synth", "hfmin", "explore", "run", ...).
+	// "lt1".."lt5", "synth", "hfmin", "search-eval", "run", ...).
 	Stage string `json:"stage"`
 	// Unit is what the stage worked on: a functional unit, controller,
-	// output function or exploration variant. Empty for whole-graph stages.
+	// output function or search plan. Empty for whole-graph stages.
 	Unit string `json:"unit,omitempty"`
 	// Start and End are nanoseconds since the tracer's epoch (monotonic).
 	Start int64 `json:"start_ns"`

@@ -21,7 +21,8 @@ type Result struct {
 	Frontier []State
 	// Seeds holds the scored seed states in input order, so a caller can
 	// compare the search outcome against each fixed starting point (the
-	// exploration sweep reads its table straight out of this).
+	// exploration sweep's table is these rows; see FormatTable). It is
+	// filled even when Run reports that every plan failed.
 	Seeds []State
 	// Counters: plans evaluated, states discarded (beam truncation, branch
 	// caps, budget cuts, failed plans), duplicate states skipped via the

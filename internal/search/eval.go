@@ -95,8 +95,7 @@ type Options struct {
 	MaxBranch int
 	// Weights sets the cost function; the zero value selects {1, 1}.
 	Weights Weights
-	// Synthesize scores gate-level literals (on by default for Run; the
-	// degenerate sweep leaves it to the caller). Without it the cost is
+	// Synthesize scores gate-level literals. Without it the cost is
 	// time-only.
 	Synthesize bool
 	// Minimizer is the shared hfmin memoization layer — one cache per
@@ -162,13 +161,6 @@ func (p Plan) CoreOptions(workers int, min synth.Minimizer, solver logic.Solver)
 		copt.Level = core.OptimizedGTLT
 	}
 	return copt
-}
-
-// EvaluateState scores one plan on a fresh clone of the graph. It is a
-// zero-wave degenerate search: the exploration sweep is implemented as a
-// batch of these.
-func EvaluateState(g *cdfg.Graph, p Plan, opt Options) State {
-	return evaluateOn(context.Background(), g.Clone(), p, opt)
 }
 
 // evaluateOn scores a plan on a private working graph (which it mutates).

@@ -1,12 +1,15 @@
 // Package search implements a cost-directed rewrite search over the
-// paper's transform space. Where the exploration sweep scores a fixed
-// ablation grid (skip GT1 … skip GT5, with or without local transforms),
-// the search treats every rewrite as an individual move — apply or skip
+// paper's transform space. Its seeds are the fixed ablation grid (skip
+// GT1 … skip GT5, with or without local transforms); from there the
+// search treats every rewrite as an individual move — apply or skip
 // one GT5.1 channel merge, take one GT5.2 re-route step, toggle or
 // reorder each local transform per controller, pin one encoding-ladder
 // rung — and expands a beam of candidate plans in deterministic parallel
 // waves, scoring each by a weighted combination of analyzed makespan and
 // the Figure 13 literal count.
+//
+// The exploration sweep is the zero-wave case: Run with Options.Waves < 0
+// scores the seeds only, and FormatTable, Best and Pareto report them.
 package search
 
 import (
@@ -51,9 +54,11 @@ func DefaultPlan() Plan {
 	return Plan{GT5Auto: true, LT: true, Tag: "all-GT+LT"}
 }
 
-// StandardPlans mirrors the standard exploration script (the 8-variant
-// ablation grid) as search seed states, so the search starts from — and
-// can therefore never score worse than — the best fixed ablation.
+// StandardPlans is the standard exploration script — the unoptimized
+// baseline, each global transform ablated from the full pipeline, and
+// the full pipeline without and with local transforms — as search seed
+// states, so the search starts from, and can therefore never score worse
+// than, the best fixed ablation.
 func StandardPlans() []Plan {
 	return []Plan{
 		{Tag: "baseline", SkipGT1: true, SkipGT2: true, SkipGT3: true, SkipGT4: true, SkipGT5: true},

@@ -113,8 +113,8 @@ func TestSearchGenCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		probe := EvaluateState(g, DefaultPlan(), Options{Workers: 1})
-		if e := probe.Score.RunError; strings.Contains(e, "unsupported topology") || strings.Contains(e, "primer events") {
+		probe, _ := Run(g, Options{Workers: 1, Waves: -1, Seeds: []Plan{DefaultPlan()}})
+		if e := probe.Seeds[0].Score.RunError; strings.Contains(e, "unsupported topology") || strings.Contains(e, "primer events") {
 			continue
 		}
 		used++

@@ -59,7 +59,7 @@ type fleetProxy struct {
 //
 //   - POST /v1/jobs is routed by content key: the consistent-hash ring
 //     assigns every document a stable owner, so identical submissions
-//     meet at one node and hit its request-level dedup and memo cache.
+//     meet at one node and share its cache.
 //     Non-owned submissions are forwarded (retry with backoff); if the
 //     owner is unreachable the node degrades to local execution instead
 //     of failing the job, marking the peer down for the health loop.
@@ -147,7 +147,7 @@ func (p *fleetProxy) submit(w http.ResponseWriter, r *http.Request) {
 	owner := p.ring.OwnerAlive(key, p.alive)
 	if owner == "" || owner == p.cfg.Self {
 		obs.Add("fleet/local_submits", 1)
-		job, err := p.m.SubmitKeyed(sub.graph, sub.level, sub.mode, key)
+		job, err := p.m.SubmitMode(sub.graph, sub.level, sub.mode)
 		writeSubmitOutcome(w, job, err)
 		return
 	}
@@ -161,7 +161,7 @@ func (p *fleetProxy) submit(w http.ResponseWriter, r *http.Request) {
 		p.cfg.Peers.MarkDown(owner)
 	}
 	obs.Add("fleet/forward_fallbacks", 1)
-	job, err := p.m.SubmitKeyed(sub.graph, sub.level, sub.mode, key)
+	job, err := p.m.SubmitMode(sub.graph, sub.level, sub.mode)
 	writeSubmitOutcome(w, job, err)
 }
 

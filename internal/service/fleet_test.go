@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net"
 	"net/http"
@@ -16,69 +17,77 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/memo"
 	"repro/internal/obs"
+	"repro/internal/stage"
 )
 
-// TestDedupConcurrentSubmissions is the dedup acceptance scenario: many
-// concurrent submissions of the same document collapse onto one job — one
-// ID, one pipeline run — observed through the service counters.
+// TestDedupConcurrentSubmissions: N identical concurrent submissions are N
+// jobs with N distinct IDs, and the store's singleflight — not the
+// manager — makes them one computation: every job's document is
+// byte-identical to a direct run, and the shared engine misses exactly
+// as often as one cold run.
 func TestDedupConcurrentSubmissions(t *testing.T) {
 	reg := obs.NewMetrics()
 	obs.SetMetrics(reg)
 	defer obs.SetMetrics(nil)
 
+	// The gate holds every job in the pipeline until all N are admitted,
+	// so the two runners' jobs overlap on the same stage keys.
 	min := &gateMin{gate: make(chan struct{})}
-	m := New(Config{Concurrency: 2, Dedup: true, Minimizer: min})
+	eng := stage.New(nil)
+	m := New(Config{Concurrency: 2, Parallelism: 2, Minimizer: min, Engine: eng})
 	defer m.Close()
 
-	first, err := m.Submit(diffeq.Build(diffeq.DefaultParams()), core.OptimizedGTLT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, first, StateRunning) // parked inside the gated minimizer
-
-	const dups = 8
-	ids := make([]string, dups)
+	const n = 8
+	jobs := make([]*Job, n)
 	var wg sync.WaitGroup
-	for i := 0; i < dups; i++ {
+	for i := range jobs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			job, err := m.Submit(diffeq.Build(diffeq.DefaultParams()), core.OptimizedGTLT)
 			if err != nil {
-				t.Errorf("dup submit %d: %v", i, err)
+				t.Errorf("submit %d: %v", i, err)
 				return
 			}
-			ids[i] = job.ID()
+			jobs[i] = job
 		}(i)
 	}
 	wg.Wait()
-	for i, id := range ids {
-		if id != first.ID() {
-			t.Fatalf("dup submit %d got job %s, want %s", i, id, first.ID())
+	if t.Failed() {
+		return
+	}
+	ids := map[string]bool{}
+	for _, job := range jobs {
+		if ids[job.ID()] {
+			t.Fatalf("job ID %s issued to two submissions", job.ID())
 		}
+		ids[job.ID()] = true
 	}
-	if got := reg.Counter("service/dedup_hits"); got != dups {
-		t.Fatalf("dedup_hits = %d, want %d", got, dups)
-	}
-	if got := reg.Counter("service/jobs_submitted"); got != 1 {
-		t.Fatalf("jobs_submitted = %d, want 1 (exactly one pipeline run admitted)", got)
+	if got := reg.Counter("service/jobs_submitted"); got != n {
+		t.Fatalf("jobs_submitted = %d, want %d", got, n)
 	}
 
 	close(min.gate)
-	waitState(t, first, StateDone)
-	if got := reg.Counter("service/jobs_completed"); got != 1 {
-		t.Fatalf("jobs_completed = %d, want 1", got)
+	want := directDiffeq(t)
+	for _, job := range jobs {
+		<-job.Done()
+		if job.State() != StateDone {
+			t.Fatalf("job %s ended %v (%v), want done", job.ID(), job.State(), job.Err())
+		}
+		if !bytes.Equal(job.Result(), want) {
+			t.Fatalf("job %s's document differs from the direct run", job.ID())
+		}
 	}
-
-	// Terminal jobs never match: resubmitting is a fresh run.
-	again, err := m.Submit(diffeq.Build(diffeq.DefaultParams()), core.OptimizedGTLT)
-	if err != nil {
+	if got := reg.Counter("service/jobs_completed"); got != n {
+		t.Fatalf("jobs_completed = %d, want %d", got, n)
+	}
+	cold := stage.New(nil)
+	if _, _, err := cold.Run(context.Background(), diffeq.Build(diffeq.DefaultParams()), core.DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
-	if again.ID() == first.ID() {
-		t.Fatal("resubmission after completion reused the finished job")
+	if got, want := eng.Stats().Misses(), cold.Stats().Misses(); got != want {
+		t.Fatalf("engine misses = %d across %d identical jobs, want %d (one cold run)", got, n, want)
 	}
-	waitState(t, again, StateDone)
 
 	// Different level or mode means a different content key.
 	k1, _, err := ContentKey(diffeq.Build(diffeq.DefaultParams()), core.OptimizedGTLT, ModeSynth)
@@ -246,7 +255,6 @@ func startFleet(t *testing.T, n int) []*fleetNode {
 		m := New(Config{
 			Concurrency: 2,
 			Parallelism: 2,
-			Dedup:       true,
 			NodeID:      listeners[i].Addr().String(),
 			Minimizer:   cache,
 		})

@@ -134,7 +134,8 @@ func parseSubmission(r *http.Request) (sub submission, status int, msg string) {
 	return sub, 0, ""
 }
 
-// writeSubmitOutcome maps a Submit result onto the HTTP status space.
+// writeSubmitOutcome maps a Submit result onto the HTTP status space. An
+// admitted job is answered with its state at admission (see admitted).
 func writeSubmitOutcome(w http.ResponseWriter, job *Job, err error) {
 	switch {
 	case errors.Is(err, ErrQueueFull):
@@ -144,7 +145,7 @@ func writeSubmitOutcome(w http.ResponseWriter, job *Job, err error) {
 	case err != nil:
 		writeError(w, http.StatusInternalServerError, err.Error())
 	default:
-		writeJSON(w, http.StatusAccepted, statusOf(job))
+		writeJSON(w, http.StatusAccepted, admitted(job))
 	}
 }
 
@@ -249,7 +250,7 @@ func (m *Manager) handlePatch(w http.ResponseWriter, r *http.Request) {
 		writeSubmitOutcome(w, job, serr)
 		return
 	}
-	st := statusOf(job)
+	st := admitted(job)
 	st.Dirty = &DirtyInfo{Global: dirty.Global, FUs: dirty.FUs}
 	writeJSON(w, http.StatusAccepted, st)
 }
@@ -280,6 +281,15 @@ func handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	reg.WritePrometheus(w)
+}
+
+// admitted is the wire status of a job Submit has just admitted: its
+// state at admission, which is always queued. A runner may pick the job
+// up before the response is written, so a snapshot taken then could
+// already read running; the submit response reports the admission, and
+// polls report what happened since.
+func admitted(job *Job) JobStatus {
+	return JobStatus{ID: job.id, State: StateQueued.String(), Mode: string(job.mode)}
 }
 
 // statusOf snapshots a job for the wire.

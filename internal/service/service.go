@@ -19,11 +19,13 @@
 // Submit admits a job into the queue or rejects it immediately with
 // ErrQueueFull — admission is the only place backpressure is applied, so
 // a full server answers in microseconds instead of accumulating work.
-// Cancel on a queued job marks it cancelled before it ever runs; on a
-// running job it cancels the job's context, which the pipeline observes
-// at stage boundaries, between encoding-ladder rungs and inside the
-// covering branch-and-bound, releasing the job's pool workers within a
-// poll interval. Cancelling a terminal job is a no-op.
+// Every admitted submission is its own job with its own ID. Cancel on a
+// queued job marks it cancelled before it ever runs and frees its queue
+// slot; on a running job it cancels the job's context, which the
+// pipeline observes at stage boundaries, between encoding-ladder rungs
+// and inside the covering branch-and-bound, releasing the job's pool
+// workers within a poll interval. Cancelling a terminal job is a no-op.
+// DESIGN.md §11 tabulates every transition.
 //
 // # Shared resources
 //
@@ -31,8 +33,12 @@
 // usually a memo.Cache) and one stage engine (Config.Engine), and divide
 // one parallelism budget (Config.Parallelism) evenly across the
 // Config.Concurrency runners, so a saturated server never oversubscribes
-// the host. The memo layer guarantees a cancelled job never leaves a
-// partial result behind for a neighbour to hit.
+// the host. The caches are also where identical work meets: their
+// singleflight computes each stage payload and hfmin record once, and
+// concurrent jobs posing the same key wait for that result. A job
+// cancelled while computing a shared key vacates it, and a surviving
+// waiter recomputes it, so no job's cancellation reaches another job and
+// no partial result is left behind for a neighbour to hit.
 //
 // # Observability
 //
@@ -169,15 +175,6 @@ type Config struct {
 	// latency should stay in interactive range. SearchWaves < 0 scores the
 	// ablation seeds only (a served exploration sweep).
 	SearchWaves, SearchBeam, SearchBudget int
-	// Dedup enables request-level deduplication: a submission whose
-	// content key (see ContentKey) matches a queued or running job joins
-	// that job instead of admitting a new one, counted by
-	// service/dedup_hits. The codec's deterministic encoding makes the
-	// key canonical, so two users posting the same CDFG share one
-	// pipeline run, which only the last of their cancellations cancels.
-	// Terminal jobs never match — resubmitting a finished document is a
-	// fresh (memo-cache-warm) job.
-	Dedup bool
 	// NodeID, when non-empty, suffixes every job ID with "@<NodeID>" so a
 	// fleet peer receiving a poll for a foreign job can route it to the
 	// owning node (see FleetHandler). Single-node deployments leave it
@@ -217,7 +214,6 @@ type Job struct {
 	graph  *cdfg.Graph
 	level  core.Level
 	mode   Mode
-	key    string // content key; set when the manager dedups
 	events *eventLog
 
 	mu     sync.Mutex
@@ -227,7 +223,6 @@ type Job struct {
 	result []byte
 	cancel context.CancelFunc
 	done   chan struct{}
-	subs   int // submissions sharing the job through dedup
 
 	submitted time.Time
 	finished  time.Time
@@ -283,17 +278,6 @@ func (j *Job) setStage(s string) {
 	j.mu.Unlock()
 }
 
-// join adds a dedup'd submission to the job unless it has finished.
-func (j *Job) join() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state.Terminal() {
-		return false
-	}
-	j.subs++
-	return true
-}
-
 // finish moves the job to a terminal state exactly once.
 func (j *Job) finish(state State, result []byte, err error) {
 	j.mu.Lock()
@@ -318,8 +302,8 @@ type Manager struct {
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
-	byKey    map[string]*Job // content key -> non-terminal job (Dedup only)
-	queue    chan *Job
+	queue    []*Job     // admitted jobs waiting for a runner, oldest first
+	wake     *sync.Cond // on mu: the queue grew or Drain began
 	draining bool
 	nextID   uint64
 
@@ -332,13 +316,12 @@ func New(cfg Config) *Manager {
 	cfg = cfg.withDefaults()
 	base, stop := context.WithCancel(context.Background())
 	m := &Manager{
-		cfg:   cfg,
-		base:  base,
-		stop:  stop,
-		jobs:  map[string]*Job{},
-		byKey: map[string]*Job{},
-		queue: make(chan *Job, cfg.QueueDepth),
+		cfg:  cfg,
+		base: base,
+		stop: stop,
+		jobs: map[string]*Job{},
 	}
+	m.wake = sync.NewCond(&m.mu)
 	m.wg.Add(cfg.Concurrency)
 	for i := 0; i < cfg.Concurrency; i++ {
 		go m.runner()
@@ -355,61 +338,22 @@ func (m *Manager) Submit(graph *cdfg.Graph, level core.Level) (*Job, error) {
 
 // SubmitMode is Submit with an explicit job mode. An unknown mode is a
 // caller bug (the HTTP layer validates with ParseMode first) and is
-// rejected before the job is admitted. With Config.Dedup, the graph's
-// content key is computed here; callers that already hold it (the fleet
-// handler hashes for ring routing) use SubmitKeyed instead.
+// rejected before the job is admitted. Every admitted submission is a
+// job of its own, with its own ID, state and cancellation, and starts
+// queued; identical submissions share work through the store's
+// singleflight (see the package comment), never a job.
 func (m *Manager) SubmitMode(graph *cdfg.Graph, level core.Level, mode Mode) (*Job, error) {
-	return m.SubmitKeyed(graph, level, mode, "")
-}
-
-// ContentKey returns the canonical content address of a submission: the
-// SHA-256 (hex) of the codec's deterministic byte-identical encoding of
-// graph together with the optimization level and job mode. Logically
-// identical submissions collide regardless of how the document was
-// produced, which makes the key safe for request-level dedup and for
-// consistent-hash routing across a fleet. The canonical encoding is
-// returned too, so forwarding nodes relay exactly the bytes they hashed.
-func ContentKey(graph *cdfg.Graph, level core.Level, mode Mode) (key string, canonical []byte, err error) {
-	canonical, err = codec.EncodeGraph(graph)
-	if err != nil {
-		return "", nil, fmt.Errorf("service: content key: %w", err)
-	}
-	h := sha256.New()
-	h.Write(canonical)
-	h.Write([]byte{0})
-	h.Write([]byte(level.String()))
-	h.Write([]byte{0})
-	h.Write([]byte(mode))
-	return hex.EncodeToString(h.Sum(nil)), canonical, nil
-}
-
-// SubmitKeyed is SubmitMode with a precomputed content key (as returned
-// by ContentKey; the empty string computes it when Config.Dedup is on).
-// When dedup finds a queued or running job under the same key, that job
-// is returned instead of admitting a new one.
-func (m *Manager) SubmitKeyed(graph *cdfg.Graph, level core.Level, mode Mode, key string) (*Job, error) {
 	if mode != ModeSynth && mode != ModeSearch {
 		return nil, fmt.Errorf("service: unknown job mode %q", mode)
-	}
-	if m.cfg.Dedup && key == "" {
-		var err error
-		if key, _, err = ContentKey(graph, level, mode); err != nil {
-			return nil, err
-		}
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.draining {
 		return nil, ErrDraining
 	}
-	if m.cfg.Dedup {
-		if prior, ok := m.byKey[key]; ok {
-			if prior.join() {
-				obs.Add("service/dedup_hits", 1)
-				return prior, nil
-			}
-			delete(m.byKey, key) // stale: raced with completion
-		}
+	if len(m.queue) >= m.cfg.QueueDepth {
+		obs.Add("service/jobs_rejected", 1)
+		return nil, ErrQueueFull
 	}
 	m.nextID++
 	id := fmt.Sprintf("job-%06d", m.nextID)
@@ -424,40 +368,38 @@ func (m *Manager) SubmitKeyed(graph *cdfg.Graph, level core.Level, mode Mode, ke
 		events:    newEventLog(),
 		state:     StateQueued,
 		done:      make(chan struct{}),
-		subs:      1,
 		submitted: time.Now(),
 	}
-	// Log queued before the job is on the queue: a runner may dequeue it
-	// at once and push running, which must not come first.
+	// Log queued before the job is on the queue: a runner may take it at
+	// once and push running, which must not come first.
 	job.pushState(StateQueued, nil)
-	select {
-	case m.queue <- job:
-	default:
-		m.nextID-- // ID was never issued
-		obs.Add("service/jobs_rejected", 1)
-		return nil, ErrQueueFull
-	}
+	m.queue = append(m.queue, job)
+	m.wake.Signal()
 	m.jobs[job.id] = job
-	if m.cfg.Dedup {
-		job.key = key
-		m.byKey[key] = job
-	}
 	obs.Add("service/jobs_submitted", 1)
 	obs.Set("service/jobs_queued", int64(len(m.queue)))
 	return job, nil
 }
 
-// dropKey retires job's dedup entry once it is terminal, so later
-// submissions of the same document start fresh runs.
-func (m *Manager) dropKey(job *Job) {
-	if job.key == "" {
-		return
+// ContentKey returns the canonical content address of a submission: the
+// SHA-256 (hex) of the codec's deterministic byte-identical encoding of
+// graph together with the optimization level and job mode. Logically
+// identical submissions collide regardless of how the document was
+// produced, which makes the key safe for consistent-hash routing across
+// a fleet. The canonical encoding is returned too, so forwarding nodes
+// relay exactly the bytes they hashed.
+func ContentKey(graph *cdfg.Graph, level core.Level, mode Mode) (key string, canonical []byte, err error) {
+	canonical, err = codec.EncodeGraph(graph)
+	if err != nil {
+		return "", nil, fmt.Errorf("service: content key: %w", err)
 	}
-	m.mu.Lock()
-	if m.byKey[job.key] == job {
-		delete(m.byKey, job.key)
-	}
-	m.mu.Unlock()
+	h := sha256.New()
+	h.Write(canonical)
+	h.Write([]byte{0})
+	h.Write([]byte(level.String()))
+	h.Write([]byte{0})
+	h.Write([]byte(mode))
+	return hex.EncodeToString(h.Sum(nil)), canonical, nil
 }
 
 // Get returns the job with the given ID.
@@ -472,12 +414,10 @@ func (m *Manager) Get(id string) (*Job, error) {
 }
 
 // Cancel requests cancellation of a job. A queued job becomes cancelled
-// immediately; a running job has its context cancelled and reaches the
-// cancelled state once the pipeline observes it. Cancelling a terminal
-// job is a no-op. A job that dedup gave to several submissions is
-// cancelled by the last of their cancellations; each earlier one only
-// drops its claim, so one client cannot cancel another client's run.
-// The updated job is returned either way.
+// immediately and leaves the queue; a running job has its context
+// cancelled and reaches the cancelled state once the pipeline observes
+// it. Cancelling a terminal job is a no-op and moves no counter. The
+// updated job is returned either way.
 func (m *Manager) Cancel(id string) (*Job, error) {
 	job, err := m.Get(id)
 	if err != nil {
@@ -485,11 +425,7 @@ func (m *Manager) Cancel(id string) (*Job, error) {
 	}
 	job.mu.Lock()
 	switch {
-	case job.subs > 1 && !job.state.Terminal():
-		job.subs--
-		job.mu.Unlock()
 	case job.state == StateQueued:
-		// The job stays in the channel; the runner skips terminal jobs.
 		obs.Add("service/jobs_cancelled", 1)
 		job.state = StateCancelled
 		job.err = context.Canceled
@@ -497,7 +433,7 @@ func (m *Manager) Cancel(id string) (*Job, error) {
 		close(job.done)
 		job.mu.Unlock()
 		job.pushState(StateCancelled, context.Canceled)
-		m.dropKey(job)
+		m.unqueue(job)
 	case job.state == StateRunning && job.cancel != nil:
 		cancel := job.cancel
 		job.mu.Unlock()
@@ -514,10 +450,8 @@ func (m *Manager) Cancel(id string) (*Job, error) {
 // teardown before returning ctx's error.
 func (m *Manager) Drain(ctx context.Context) error {
 	m.mu.Lock()
-	if !m.draining {
-		m.draining = true
-		close(m.queue)
-	}
+	m.draining = true
+	m.wake.Broadcast()
 	m.mu.Unlock()
 	done := make(chan struct{})
 	go func() {
@@ -555,20 +489,45 @@ func (m *Manager) Draining() bool {
 	return m.draining
 }
 
-// runner is one pool slot: it pulls admitted jobs until Drain closes the
-// queue.
+// unqueue takes a job cancelled while queued off the queue, so its slot
+// admits the next submission at once rather than when a runner reaches
+// it.
+func (m *Manager) unqueue(job *Job) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for i, q := range m.queue {
+		if q == job {
+			m.queue = append(m.queue[:i], m.queue[i+1:]...)
+			obs.Set("service/jobs_queued", int64(len(m.queue)))
+			return
+		}
+	}
+}
+
+// runner is one pool slot: it takes admitted jobs, oldest first, until
+// Drain has begun and the queue is empty.
 func (m *Manager) runner() {
 	defer m.wg.Done()
-	for job := range m.queue {
+	for {
+		m.mu.Lock()
+		for len(m.queue) == 0 && !m.draining {
+			m.wake.Wait()
+		}
+		if len(m.queue) == 0 {
+			m.mu.Unlock()
+			return
+		}
+		job := m.queue[0]
+		m.queue = m.queue[1:]
+		m.mu.Unlock()
 		m.runJob(job)
 	}
 }
 
 // runJob executes one job under its per-job context.
 func (m *Manager) runJob(job *Job) {
-	defer m.dropKey(job)
 	job.mu.Lock()
-	if job.state.Terminal() { // cancelled while queued
+	if job.state.Terminal() { // cancelled as a runner took it
 		job.mu.Unlock()
 		return
 	}

@@ -8,7 +8,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -20,16 +23,21 @@ import (
 	"repro/internal/fir"
 	"repro/internal/gcd"
 	"repro/internal/hfmin"
+	"repro/internal/memo"
 	"repro/internal/obs"
+	"repro/internal/stage"
 )
 
 // gateMin is a MinimizerCtx that parks every minimization until the gate
 // channel is closed (or the caller's context ends), letting tests hold
 // jobs mid-pipeline deterministically. parked counts the minimizations
-// waiting at the gate.
+// waiting at the gate; entered, when non-nil, is closed as the first one
+// arrives, so a test can wait for a job to be running without polling.
 type gateMin struct {
-	gate   chan struct{}
-	parked atomic.Int64
+	gate    chan struct{}
+	parked  atomic.Int64
+	entered chan struct{}
+	once    sync.Once
 }
 
 func (g *gateMin) Minimize(spec hfmin.Spec) (hfmin.Result, error) {
@@ -39,12 +47,44 @@ func (g *gateMin) Minimize(spec hfmin.Spec) (hfmin.Result, error) {
 func (g *gateMin) MinimizeCtx(ctx context.Context, spec hfmin.Spec) (hfmin.Result, error) {
 	g.parked.Add(1)
 	defer g.parked.Add(-1)
+	if g.entered != nil {
+		g.once.Do(func() { close(g.entered) })
+	}
 	select {
 	case <-g.gate:
 		return hfmin.MinimizeCtx(ctx, spec)
 	case <-ctx.Done():
 		return hfmin.Result{}, ctx.Err()
 	}
+}
+
+// mustSubmit admits one synthesis job or fails the test.
+func mustSubmit(t *testing.T, m *Manager, g *cdfg.Graph, level core.Level) *Job {
+	t.Helper()
+	job, err := m.Submit(g, level)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return job
+}
+
+// directDiffeq is the synthesis document of a direct (unserved) DIFFEQ
+// run at the default options: what every served DIFFEQ job must return.
+func directDiffeq(t *testing.T) []byte {
+	t.Helper()
+	direct, err := core.Run(diffeq.Build(diffeq.DefaultParams()), core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := direct.SynthesizeLogic()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := codec.EncodeSynthesis(direct, results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
 }
 
 // waitState polls until the job reaches want or the deadline passes.
@@ -229,68 +269,202 @@ func TestCancelFreesWorkersWithoutFailingOthers(t *testing.T) {
 	}
 }
 
-// TestDedupCancelKeepsOtherSubmission: when dedup hands one job to two
-// submissions, one cancellation must not kill the other's run; the job
-// completes byte-identical to a direct run. Only the last claim's
-// cancellation cancels.
+// TestDedupCancelKeepsOtherSubmission: two identical submissions are two
+// jobs with two IDs. Cancelling the first while it computes a stage key
+// the second waits on must not end the second: the store vacates the
+// key, the second recomputes it, and its document is byte-identical to a
+// direct run.
 func TestDedupCancelKeepsOtherSubmission(t *testing.T) {
-	submit := func(m *Manager) *Job {
-		t.Helper()
-		job, err := m.Submit(diffeq.Build(diffeq.DefaultParams()), core.OptimizedGTLT)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return job
+	min := &gateMin{gate: make(chan struct{}), entered: make(chan struct{})}
+	store, err := memo.NewStore("")
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	min := &gateMin{gate: make(chan struct{})}
-	m := New(Config{Concurrency: 1, Dedup: true, Minimizer: min})
+	m := New(Config{Concurrency: 2, Parallelism: 2, Minimizer: min, Engine: stage.New(store)})
 	defer m.Close()
-	a, b := submit(m), submit(m)
-	if a != b {
-		t.Fatalf("dedup gave %s and %s, want one job", a.ID(), b.ID())
+	a := mustSubmit(t, m, diffeq.Build(diffeq.DefaultParams()), core.OptimizedGTLT)
+	// a is running, parked in its first minimization: inside the compute
+	// of its first controller's synthesis stage.
+	<-min.entered
+	b := mustSubmit(t, m, diffeq.Build(diffeq.DefaultParams()), core.OptimizedGTLT)
+	if a.ID() == b.ID() {
+		t.Fatalf("two submissions share job ID %s", a.ID())
+	}
+	// b replays a's finished stages and then blocks on that synthesis
+	// stage, the first key a has not finished. Wait for the block, not
+	// for time to pass.
+	deadline := time.Now().Add(30 * time.Second)
+	for store.Stats().DedupWaits == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the second job never waited on the first job's stage")
+		}
+		runtime.Gosched()
 	}
 	if _, err := m.Cancel(a.ID()); err != nil {
 		t.Fatal(err)
 	}
-	if a.State().Terminal() {
-		t.Fatalf("one of two submissions cancelled the shared job: %v", a.State())
+	<-a.Done()
+	if a.State() != StateCancelled {
+		t.Fatalf("cancelled job ended %v (%v), want cancelled", a.State(), a.Err())
+	}
+	if b.State().Terminal() {
+		t.Fatalf("cancelling %s ended %s too: %v (%v)", a.ID(), b.ID(), b.State(), b.Err())
 	}
 	close(min.gate)
-	<-a.Done()
-	if a.State() != StateDone {
-		t.Fatalf("shared job ended %v (%v), want done", a.State(), a.Err())
+	<-b.Done()
+	if b.State() != StateDone {
+		t.Fatalf("surviving job ended %v (%v), want done", b.State(), b.Err())
 	}
-	direct, err := core.Run(diffeq.Build(diffeq.DefaultParams()), core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(b.Result(), directDiffeq(t)) {
+		t.Fatal("surviving job's document differs from the direct run")
 	}
-	results, err := direct.SynthesizeLogic()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := codec.EncodeSynthesis(direct, results)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Result(), want) {
-		t.Fatal("shared job's document differs from the direct run")
-	}
+}
 
-	m2 := New(Config{Concurrency: 1, Dedup: true, Minimizer: &gateMin{gate: make(chan struct{})}})
-	defer m2.Close()
-	c, d := submit(m2), submit(m2)
-	if c != d {
-		t.Fatalf("dedup gave %s and %s, want one job", c.ID(), d.ID())
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := m2.Cancel(c.ID()); err != nil {
-			t.Fatal(err)
+// TestJobLifecycle pins the job state machine of DESIGN.md §11 without
+// sleeps. Each row drives one job on its own manager to a terminal state
+// and checks the state, the error and that exactly its outcome counter
+// moved, by one; then Cancel of that terminal job must be a no-op that
+// moves no counter.
+func TestJobLifecycle(t *testing.T) {
+	reg := obs.NewMetrics()
+	obs.SetMetrics(reg)
+	defer obs.SetMetrics(nil)
+	outcomes := []string{"service/jobs_completed", "service/jobs_failed", "service/jobs_cancelled"}
+	counts := func() map[string]int64 {
+		c := map[string]int64{}
+		for _, name := range outcomes {
+			c[name] = reg.Counter(name)
 		}
+		return c
 	}
-	<-c.Done()
-	if c.State() != StateCancelled {
-		t.Fatalf("job ended %v after both submissions cancelled, want cancelled", c.State())
+	diffeqGraph := func() *cdfg.Graph { return diffeq.Build(diffeq.DefaultParams()) }
+
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		// gated keeps the minimizer's gate shut, holding running jobs
+		// in their first minimization.
+		gated bool
+		// run drives one job to a terminal state and returns it.
+		run     func(t *testing.T, m *Manager, min *gateMin) *Job
+		want    State
+		wantErr string
+		counter string
+	}{
+		{
+			name: "pipeline success ends done",
+			run: func(t *testing.T, m *Manager, _ *gateMin) *Job {
+				return mustSubmit(t, m, diffeqGraph(), core.OptimizedGTLT)
+			},
+			want: StateDone, counter: "service/jobs_completed",
+		},
+		{
+			name: "pipeline error ends failed",
+			run: func(t *testing.T, m *Manager, _ *gateMin) *Job {
+				return mustSubmit(t, m, gcd.Build(123, 45), core.Unoptimized)
+			},
+			want: StateFailed, wantErr: "65 variables exceed the 64-variable limit", counter: "service/jobs_failed",
+		},
+		{
+			name: "cancel while queued ends cancelled and frees its slot",
+			cfg:  Config{Concurrency: 1, QueueDepth: 1}, gated: true,
+			run: func(t *testing.T, m *Manager, min *gateMin) *Job {
+				mustSubmit(t, m, diffeqGraph(), core.OptimizedGTLT)
+				<-min.entered // the one runner is busy, so the next job waits
+				job := mustSubmit(t, m, diffeqGraph(), core.OptimizedGTLT)
+				if _, err := m.Submit(diffeqGraph(), core.OptimizedGTLT); !errors.Is(err, ErrQueueFull) {
+					t.Fatalf("submit to a full queue: %v, want ErrQueueFull", err)
+				}
+				if _, err := m.Cancel(job.ID()); err != nil {
+					t.Fatal(err)
+				}
+				if m.Queued() != 0 {
+					t.Fatalf("a cancelled job still holds %d queue slot(s)", m.Queued())
+				}
+				mustSubmit(t, m, diffeqGraph(), core.OptimizedGTLT) // the freed slot admits
+				return job
+			},
+			want: StateCancelled, wantErr: "context canceled", counter: "service/jobs_cancelled",
+		},
+		{
+			name:  "cancel while running ends cancelled",
+			gated: true,
+			run: func(t *testing.T, m *Manager, min *gateMin) *Job {
+				job := mustSubmit(t, m, diffeqGraph(), core.OptimizedGTLT)
+				<-min.entered
+				if _, err := m.Cancel(job.ID()); err != nil {
+					t.Fatal(err)
+				}
+				return job
+			},
+			want: StateCancelled, wantErr: "context canceled", counter: "service/jobs_cancelled",
+		},
+		{
+			name: "job timeout ends failed",
+			cfg:  Config{JobTimeout: time.Millisecond}, gated: true,
+			run: func(t *testing.T, m *Manager, _ *gateMin) *Job {
+				return mustSubmit(t, m, diffeqGraph(), core.OptimizedGTLT)
+			},
+			want: StateFailed, wantErr: "deadline exceeded", counter: "service/jobs_failed",
+		},
+		{
+			name:  "drain past its deadline force-cancels a running job",
+			gated: true,
+			run: func(t *testing.T, m *Manager, min *gateMin) *Job {
+				job := mustSubmit(t, m, diffeqGraph(), core.OptimizedGTLT)
+				<-min.entered
+				ctx, cancel := context.WithCancel(context.Background())
+				cancel()
+				if err := m.Drain(ctx); !errors.Is(err, context.Canceled) {
+					t.Fatalf("Drain = %v, want context.Canceled", err)
+				}
+				return job
+			},
+			want: StateCancelled, wantErr: "context canceled", counter: "service/jobs_cancelled",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			min := &gateMin{gate: make(chan struct{}), entered: make(chan struct{})}
+			if !tc.gated {
+				close(min.gate)
+			}
+			cfg := tc.cfg
+			cfg.Minimizer = min
+			m := New(cfg)
+			defer m.Close()
+
+			before := counts()
+			job := tc.run(t, m, min)
+			<-job.Done()
+			if job.State() != tc.want {
+				t.Fatalf("job ended %v (%v), want %v", job.State(), job.Err(), tc.want)
+			}
+			if tc.wantErr == "" && job.Err() != nil || tc.wantErr != "" && (job.Err() == nil || !strings.Contains(job.Err().Error(), tc.wantErr)) {
+				t.Fatalf("job error %v, want %q", job.Err(), tc.wantErr)
+			}
+			after := counts()
+			for _, name := range outcomes {
+				want := before[name]
+				if name == tc.counter {
+					want++
+				}
+				if after[name] != want {
+					t.Errorf("%s moved %d -> %d, want %d", name, before[name], after[name], want)
+				}
+			}
+
+			// Cancel of a terminal job changes nothing.
+			got, err := m.Cancel(job.ID())
+			if err != nil || got != job {
+				t.Fatalf("Cancel of a %v job = %v, %v", tc.want, got, err)
+			}
+			if job.State() != tc.want {
+				t.Fatalf("Cancel moved a %v job to %v", tc.want, job.State())
+			}
+			if again := counts(); !reflect.DeepEqual(again, after) {
+				t.Fatalf("Cancel of a %v job moved counters: %v -> %v", tc.want, after, again)
+			}
+		})
 	}
 }
 

@@ -71,38 +71,10 @@ type MinimizerCtx interface {
 // Synthesize produces two-level hazard-free logic for every output signal
 // and state bit of the machine, in the single-output style of the 3D tool,
 // and reports product/literal totals (the paper's Figure 13 metrics).
-// It runs the per-output minimizations sequentially; SynthesizeParallel
-// fans them out.
+// It runs the per-output minimizations sequentially and uncached, trying
+// the whole encoding ladder; SynthesizeRung is the configurable form.
 func Synthesize(m *bm.Machine) (*Result, error) {
-	return SynthesizeParallel(m, 1)
-}
-
-// SynthesizeParallel is Synthesize with the independent per-output (and
-// per-state-bit) hazard-free minimizations fanned out across a bounded
-// worker pool (workers: 0 = GOMAXPROCS, 1 = sequential). Each function is
-// minimized against the same immutable concretized machine and encoding,
-// and results are collected by function index, so the outcome is
-// bit-identical to the sequential path.
-func SynthesizeParallel(m *bm.Machine, workers int) (*Result, error) {
-	return SynthesizeMemo(m, workers, nil)
-}
-
-// SynthesizeMemo is SynthesizeParallel with every exact minimization
-// routed through min (nil = call hfmin.Minimize directly). Because cache
-// hits are bit-identical to fresh computations, the result is the same at
-// every cache state; only the wall time changes.
-func SynthesizeMemo(m *bm.Machine, workers int, min Minimizer) (*Result, error) {
-	return SynthesizeCtx(context.Background(), m, workers, min)
-}
-
-// SynthesizeCtx is SynthesizeMemo with cooperative cancellation: the
-// context is checked between the rungs of the encoding-attempt ladder,
-// before each per-output minimization is dispatched (par.NamedMapCtx) and
-// inside the minimizer itself (hfmin.MinimizeCtx, or min's MinimizeCtx
-// when it implements MinimizerCtx), so a cancelled job releases its pool
-// workers promptly. A cancelled synthesis returns ctx.Err().
-func SynthesizeCtx(ctx context.Context, m *bm.Machine, workers int, min Minimizer) (*Result, error) {
-	return SynthesizeRung(ctx, m, workers, min, logic.SolverBB, -1)
+	return SynthesizeRung(context.Background(), m, 1, nil, logic.SolverBB, -1)
 }
 
 // attempt is one rung of the encoding-attempt ladder.
@@ -136,12 +108,25 @@ func RungName(i int) string {
 	return names[i]
 }
 
-// SynthesizeRung is SynthesizeCtx restricted to a single rung of the
-// encoding-attempt ladder (0-based; negative tries the whole ladder as
-// usual), with an explicit covering mode (see logic.Solver) for the direct
-// hfmin path; a supplied Minimizer ignores solver. Forcing a rung lets a
-// rewrite search treat the encoding style as an explicit decision instead
-// of always accepting the first rung that succeeds.
+// SynthesizeRung synthesizes m on one rung of the encoding-attempt ladder
+// (0-based; negative tries the whole ladder, accepting the first rung that
+// succeeds). Forcing a rung lets a rewrite search treat the encoding style
+// as an explicit decision.
+//
+// The independent per-output (and per-state-bit) minimizations fan out
+// across a bounded worker pool (workers: 0 = GOMAXPROCS, 1 = sequential);
+// each is minimized against the same immutable concretized machine and
+// encoding, and results are collected by function index, so the outcome
+// is bit-identical at every worker count. Every exact minimization routes
+// through min (nil = hfmin directly, with the covering mode solver; a
+// supplied Minimizer ignores solver), and cache hits are bit-identical to
+// fresh computations, so only the wall time depends on the cache state.
+//
+// The context is checked between rungs, before each per-output
+// minimization is dispatched (par.NamedMapCtx) and inside the minimizer
+// itself (hfmin.MinimizeCtx, or min's MinimizeCtx when it implements
+// MinimizerCtx), so a cancelled job releases its pool workers promptly. A
+// cancelled synthesis returns ctx.Err().
 func SynthesizeRung(ctx context.Context, m *bm.Machine, workers int, min Minimizer, solver logic.Solver, rung int) (_ *Result, err error) {
 	sp := obs.Start("synth", m.Name)
 	defer func() { sp.EndErr(err) }()

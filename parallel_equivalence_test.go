@@ -12,9 +12,9 @@ import (
 	"repro/internal/cdfg"
 	"repro/internal/core"
 	"repro/internal/diffeq"
-	"repro/internal/explore"
 	"repro/internal/fir"
 	"repro/internal/gcd"
+	"repro/internal/search"
 )
 
 // benches enumerates the three benchmarks.
@@ -89,19 +89,26 @@ func TestParallelRunEquivalence(t *testing.T) {
 	}
 }
 
-// TestSweepParallelEquivalence asserts SweepParallel returns the exact
-// Score slice of the sequential Sweep, element for element.
+// TestSweepParallelEquivalence asserts the exploration sweep — a
+// zero-wave search over the standard seeds — returns the exact
+// Result.Seeds of the sequential run at every worker count, element for
+// element.
 func TestSweepParallelEquivalence(t *testing.T) {
 	for _, bench := range benches {
 		bench := bench
 		t.Run(bench.name, func(t *testing.T) {
 			g := bench.build()
-			variants := explore.AllVariants()
-			seq := explore.Sweep(g.Clone(), variants)
+			seeds := func(j int) []search.State {
+				res, err := search.Run(g, search.Options{Workers: j, Waves: -1})
+				if err != nil {
+					t.Fatalf("j=%d: %v", j, err)
+				}
+				return res.Seeds
+			}
+			seq := seeds(1)
 			for _, j := range []int{0, 1, 4} {
-				par := explore.SweepParallel(g.Clone(), variants, j)
-				if !reflect.DeepEqual(seq, par) {
-					t.Errorf("j=%d: parallel sweep scores differ from sequential\n got: %+v\nwant: %+v", j, par, seq)
+				if par := seeds(j); !reflect.DeepEqual(seq, par) {
+					t.Errorf("j=%d: parallel sweep seeds differ from sequential\n got: %+v\nwant: %+v", j, par, seq)
 				}
 			}
 		})

@@ -18,9 +18,10 @@
 // worst case" tracked in EXPERIMENTS.md — and can persist that spec with
 // -spec-fixture for BenchmarkCoveringWorstCase.
 //
-// The tool exists to keep BENCH_covering.json honest: every covering
-// solver change re-runs it to record the per-benchmark worst-output solve
-// time trajectory (see EXPERIMENTS.md).
+// The tool exists to keep the covering numbers honest: a covering solver
+// change re-runs it to measure the per-benchmark worst-output solve time
+// (see EXPERIMENTS.md; BENCH_covering.json keeps the trajectory of earlier
+// versions).
 package main
 
 import (

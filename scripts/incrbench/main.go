@@ -9,7 +9,8 @@
 //     with at most one controller recomputed.
 //
 // It prints a one-line JSON record with the cold and warm wall times and
-// the stage counters; verify.sh appends it to BENCH_incremental.json.
+// the stage counters. BENCH_incremental.json keeps the records of earlier
+// versions; perfbench's serve-edit workload measures warm edits now.
 //
 // Usage:
 //

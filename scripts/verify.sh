@@ -128,47 +128,14 @@ go test -race -run 'TestParallelRunEquivalence' -count=1 .
 echo "== gate-level closure (synthesized logic verified on every registry"
 echo "   benchmark, including the formerly-failing FIR and AR)"
 go test -race -run 'TestGateClosureRegistry' -count=1 ./internal/bench
-echo "== rewrite search smoke (DIFFEQ, bounded profile; appending to"
-echo "   BENCH_search.json)"
-search_out=$(go run ./cmd/asyncsynth search diffeq -waves 1 -budget 16)
-echo "$search_out"
-{
-	printf '{"date":"%s","commit":"%s",' \
-		"$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
-		"$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
-	echo "$search_out" | awk '
-		/^  cost / { cost = $2 }
-		/^best fixed ablation/ { gsub(/[()]/, ""); abl = $NF }
-		END { printf("\"search_cost\":%s,\"ablation_cost\":%s}\n", cost, abl) }'
-} >>BENCH_search.json
-echo "== covering worst-case benchmarks (appending to BENCH_covering.json)"
-bench_out=$(go test -run '^$' -bench 'BenchmarkCoveringWorstCase|BenchmarkMinimizeWorstCase' \
-	-benchtime 20x ./internal/logic ./internal/hfmin)
-echo "$bench_out"
-{
-	printf '{"date":"%s","commit":"%s","ns_per_op":{' \
-		"$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
-		"$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
-	echo "$bench_out" | awk '
-		/^Benchmark(Covering|Minimize)WorstCase\// {
-			name = $1
-			sub(/^Benchmark/, "", name); sub(/-[0-9]+$/, "", name)
-			if (n++) printf(",")
-			printf("\"%s\":%d", name, $3)
-		}
-		END { print "}}" }'
-} >>BENCH_covering.json
+echo "== rewrite search smoke (DIFFEQ, bounded profile)"
+go run ./cmd/asyncsynth search diffeq -waves 1 -budget 16
+echo "== covering worst-case benchmarks"
+go test -run '^$' -bench 'BenchmarkCoveringWorstCase|BenchmarkMinimizeWorstCase' \
+	-benchtime 20x ./internal/logic ./internal/hfmin
 echo "== incremental smoke (edit one FU of DIFFEQ, warm re-run must skip"
-echo "   cached stages and stay byte-identical to a cold run; appending"
-echo "   warm-vs-cold timings to BENCH_incremental.json)"
-incr_out=$(go run ./scripts/incrbench -bench diffeq)
-echo "$incr_out"
-{
-	printf '{"date":"%s","commit":"%s","smoke":%s}\n' \
-		"$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
-		"$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
-		"$incr_out"
-} >>BENCH_incremental.json
+echo "   cached stages and stay byte-identical to a cold run)"
+go run ./scripts/incrbench -bench diffeq
 echo "== incremental equivalence (engine warm runs bit-identical to cold"
 echo "   pipeline runs on every benchmark + generated corpus)"
 go test -race -run 'TestIncrementalBenchmarkEdits|TestIncrementalDiskWarmStart|TestHTTPPatchEndToEnd' -count=1 . ./internal/service
@@ -176,20 +143,6 @@ echo "== fleet smoke (3 asyncsynthd nodes: submit via one node, identical"
 echo "   result from every node, kill the owning node mid-run, re-verify"
 echo "   through a survivor)"
 go test -race -run 'TestFleetSmoke' -count=1 ./internal/loadtest
-echo "== fleet sustained-load sample (3 nodes via scripts/loadgen; appending"
-echo "   p50/p95/p99 latency to BENCH_service.json)"
-load_out=$(go run ./scripts/loadgen -nodes 3 -gen 0 -clients 4)
-echo "$load_out"
-{
-	printf '{"date":"%s","commit":"%s",' \
-		"$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
-		"$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
-	echo "$load_out" | awk '
-		/^  "(jobs|done|p50_ms|p95_ms|p99_ms|max_queue_depth|remote_hits|blob_remote_hits|cross_verified)":/ {
-			gsub(/[ ,]/, "")
-			if (n++) printf(",")
-			printf("%s", $0)
-		}
-		END { print "}" }'
-} >>BENCH_service.json
+echo "== fleet sustained-load sample (3 nodes via scripts/loadgen)"
+go run ./scripts/loadgen -nodes 3 -gen 0 -clients 4
 echo "== verify: OK"
