@@ -26,11 +26,12 @@
 package hfmin
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"repro/internal/logic"
 )
@@ -103,33 +104,35 @@ type Spec struct {
 func (s Spec) Canonical() Spec {
 	ts := append([]Transition(nil), s.Transitions...)
 	if !canonicalOrder(ts) {
-		sort.Slice(ts, func(i, j int) bool { return transLess(ts[i], ts[j]) })
+		slices.SortFunc(ts, transCompare)
 	}
 	return Spec{N: s.N, Transitions: ts}
 }
 
 // canonicalOrder reports whether ts is already in Canonical's order.
 func canonicalOrder(ts []Transition) bool {
-	return sort.SliceIsSorted(ts, func(i, j int) bool { return transLess(ts[i], ts[j]) })
+	return slices.IsSortedFunc(ts, transCompare)
 }
 
-// transLess is the total order behind Canonical: kind first, then the raw
-// cube keys of start and end.
-func transLess(a, b Transition) bool {
-	if a.Kind != b.Kind {
-		return a.Kind < b.Kind
+// transCompare is the total order behind Canonical: kind first, then the
+// raw cube keys of start and end. Distinct transitions never compare
+// equal, so every sort of a spec's transitions gives one order.
+func transCompare(a, b Transition) int {
+	if c := cmp.Compare(a.Kind, b.Kind); c != 0 {
+		return c
 	}
-	if ak, bk := a.Start.Key(), b.Start.Key(); ak != bk {
-		if ak[0] != bk[0] {
-			return ak[0] < bk[0]
-		}
-		return ak[1] < bk[1]
+	if c := compareKeys(a.Start.Key(), b.Start.Key()); c != 0 {
+		return c
 	}
-	ak, bk := a.End.Key(), b.End.Key()
-	if ak[0] != bk[0] {
-		return ak[0] < bk[0]
+	return compareKeys(a.End.Key(), b.End.Key())
+}
+
+// compareKeys orders cube keys by their zero mask, then their one mask.
+func compareKeys(a, b [2]uint64) int {
+	if c := cmp.Compare(a[0], b[0]); c != 0 {
+		return c
 	}
-	return ak[1] < bk[1]
+	return cmp.Compare(a[1], b[1])
 }
 
 // Result reports details of a minimization.
@@ -385,36 +388,71 @@ func minimize(ctx context.Context, spec Spec, solver logic.Solver) (Result, erro
 // covering the required cubes: maximal implicants (disjoint from the
 // OFF-set) with no illegal intersection with any privileged cube. Their
 // order sets the covering columns and so the covering tie-breaks.
+//
+// Each prime is emitted if legal; an illegal one is shrunk away from the
+// privileged cube it intersects, one more variable bound per shrink, and
+// the shrinks are emitted the same way, depth first. A shrink that lies
+// inside a legal prime is skipped, together with every shrink below it.
+// This changes no element and no order of the result:
+//   - Such a shrink is never maximal. It lies strictly inside the prime it
+//     was shrunk from, so it is not a prime itself (no prime contains
+//     another), and it lies inside a legal prime P, hence strictly inside.
+//     Every shrink below it lies strictly inside P too. P is no shrink,
+//     so the recursion emits P in its own turn, and Maximal would drop the
+//     skipped cubes. Nor does a skipped cube keep another cube from being
+//     maximal: whatever it contains, P contains.
+//   - The test depends only on the cube, not on when the walk visits it.
+//     A skipped cube is skipped on every visit, and every cube below it
+//     lies inside P, so it is skipped wherever the walk meets it. So the
+//     other cubes are visited, and emitted, in the order in which the
+//     unpruned walk first visited them.
+//
+// Primes themselves are never skipped: a legal prime lies inside itself.
 func dhfPrimes(required []logic.Cube, off logic.Cover, priv []Privileged) []logic.Cube {
 	primes := logic.PrimesContaining(required, off)
+	// illegal returns the first privileged cube p intersects without
+	// containing its Need subcube, or nil when p is legal.
+	illegal := func(p logic.Cube) *Privileged {
+		for i := range priv {
+			if pv := &priv[i]; p.Intersects(pv.Trans) && !p.Contains(pv.Need) {
+				return pv
+			}
+		}
+		return nil
+	}
+	legal := logic.NewCubeIndex(primes) // the walk asks about their shrinks
+	for _, p := range primes {
+		if illegal(p) == nil {
+			legal.Add(p)
+		}
+	}
 	seen := map[[2]uint64]bool{}
 	var out []logic.Cube
-	var emit func(p logic.Cube)
-	emit = func(p logic.Cube) {
-		if p.IsEmpty() || seen[p.Key()] {
+	var emit func(p logic.Cube, shrunk bool)
+	emit = func(p logic.Cube, shrunk bool) {
+		if p.IsEmpty() || shrunk && legal.Contains(p) || seen[p.Key()] {
 			return
 		}
 		seen[p.Key()] = true
-		for _, pv := range priv {
-			if p.Intersects(pv.Trans) && !p.Contains(pv.Need) {
-				// Illegal intersection: shrink p away from the transition
-				// cube along every variable the transition binds and p
-				// leaves free, and recurse.
-				for vs := pv.Trans.BoundVars() &^ p.BoundVars(); vs != 0; vs &= vs - 1 {
-					v := bits.TrailingZeros64(vs)
-					flip := logic.Zero
-					if pv.Trans.Get(v) == logic.Zero {
-						flip = logic.One
-					}
-					emit(p.With(v, flip))
-				}
-				return
-			}
+		pv := illegal(p)
+		if pv == nil {
+			out = append(out, p)
+			return
 		}
-		out = append(out, p)
+		// Illegal intersection: shrink p away from the transition cube
+		// along every variable the transition binds and p leaves free, and
+		// recurse.
+		for vs := pv.Trans.BoundVars() &^ p.BoundVars(); vs != 0; vs &= vs - 1 {
+			v := bits.TrailingZeros64(vs)
+			flip := logic.Zero
+			if pv.Trans.Get(v) == logic.Zero {
+				flip = logic.One
+			}
+			emit(p.With(v, flip), true)
+		}
 	}
 	for _, p := range primes {
-		emit(p)
+		emit(p, false)
 	}
 	return logic.Maximal(out)
 }

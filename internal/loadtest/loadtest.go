@@ -638,19 +638,23 @@ func Run(f *Fleet, docs []Doc, opt RunOptions) *Report {
 		ctx, cancelCtx := context.WithTimeout(context.Background(), opt.JobTimeout)
 		defer cancelCtx()
 		start := time.Now()
-		attempts := 0
+		// tries rotates the submissions over the alive nodes; attempts
+		// counts those not refused as backpressure. The attempt budget is
+		// for dead nodes: the job's timeout already bounds a queue that
+		// stays full.
+		tries, attempts := 0, 0
 		for {
 			alive := f.AliveURLs()
 			if len(alive) == 0 {
 				fail("job %d (%s): no nodes left alive", i, doc.Name)
 				return
 			}
-			base := alive[(i+attempts)%len(alive)]
-			attempts++
-			if attempts > 2*len(f.Nodes)+4 {
+			if attempts >= 2*len(f.Nodes)+4 {
 				fail("job %d (%s): exhausted submit attempts", i, doc.Name)
 				return
 			}
+			base := alive[(i+tries)%len(alive)]
+			tries++
 			st, status, err := submit(base, doc)
 			if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
 				mu.Lock()
@@ -664,6 +668,7 @@ func Run(f *Fleet, docs []Doc, opt RunOptions) *Report {
 				}
 				continue
 			}
+			attempts++
 			if err != nil {
 				// Transport failure (e.g. the node was just killed): try the
 				// next node.

@@ -2,7 +2,7 @@ package logic
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 )
 
 // MaxExpansions caps the number of maximal expansions enumerated for a
@@ -27,7 +27,7 @@ func Expansions(seed Cube, off Cover) []Cube {
 	// Blocking rows: for each off cube, the bound seed variables on which
 	// the two have no common value. An off cube with no such variable
 	// intersects seed itself: no expansion exists.
-	var rows []uint64
+	rows := make([]uint64, 0, len(off.Cubes))
 	for _, o := range off.Cubes {
 		seed.checkArity(o)
 		if o.IsEmpty() {
@@ -58,10 +58,13 @@ func Expansions(seed Cube, off Cover) []Cube {
 func minimalHittingSets(rows []uint64, limit int) []uint64 {
 	// Sort rows by size: small rows first prunes better. The enumeration
 	// order, and with it the dhf-prime order, depends on this exact
-	// permutation of equal-size rows, so the sort stays sort.Slice.
+	// permutation of equal-size rows. slices.SortFunc is the same pdqsort
+	// as sort.Slice, generated from one template, so it makes the same
+	// comparisons and swaps; the map-based reference in the tests still
+	// sorts with sort.Slice.
 	sorted := append([]uint64(nil), rows...)
-	sort.Slice(sorted, func(i, j int) bool {
-		return bits.OnesCount64(sorted[i]) < bits.OnesCount64(sorted[j])
+	slices.SortFunc(sorted, func(a, b uint64) int {
+		return bits.OnesCount64(a) - bits.OnesCount64(b)
 	})
 
 	var results []uint64
@@ -120,10 +123,14 @@ func PrimesContaining(seeds []Cube, off Cover) []Cube {
 //
 // A container of a cube has strictly fewer literals, so visiting the cubes
 // by ascending literal count (a stable bucket pass) means every container
-// of a cube, and in particular a maximal one, is visited first. Testing
-// only against the maximal-so-far cubes makes the filter
-// O(len(cubes)·len(result)) instead of quadratic in the input.
+// of a cube, and in particular a maximal one, is visited first; so is the
+// first copy of a repeated cube. Each cube is then tested only against the
+// maximal-so-far cubes, through a CubeIndex, which looks at just those
+// filed under one of the cube's own literals instead of scanning them all.
 func Maximal(cubes []Cube) []Cube {
+	if len(cubes) == 0 {
+		return nil
+	}
 	var start [MaxVars + 2]int
 	for _, c := range cubes {
 		start[c.Literals()+1]++
@@ -138,26 +145,107 @@ func Maximal(cubes []Cube) []Cube {
 		start[l]++
 	}
 	isMax := make([]bool, len(cubes))
-	var maximal []Cube
+	maximal := NewCubeIndex(cubes) // the cubes are the queries
+	kept := 0
 	for _, i := range order {
-		c := cubes[i]
-		contained := false
-		for _, m := range maximal {
-			if m.Contains(c) {
-				contained = true
-				break
-			}
-		}
-		if !contained {
+		if c := cubes[i]; !maximal.Contains(c) {
 			isMax[i] = true
-			maximal = append(maximal, c)
+			maximal.Add(c)
+			kept++
 		}
 	}
-	out := maximal[:0]
+	out := make([]Cube, 0, kept)
 	for i, c := range cubes {
 		if isMax[i] {
 			out = append(out, c)
 		}
 	}
 	return out
+}
+
+// CubeIndex holds cubes of one arity and answers whether some cube added
+// to it contains a query cube, without scanning every added cube. Added
+// cubes must be non-empty. The zero value is an empty index; NewCubeIndex
+// tunes one for its queries.
+//
+// A cube d contains a non-empty cube c exactly when every literal of d is
+// a literal of c. So the index files each added cube under one of its own
+// literals, and a query probes only the buckets of c's literals: every
+// container of c is filed under one of them, and each added cube is looked
+// at at most once. The full cube has no literals; it contains everything
+// and is kept as a flag.
+type CubeIndex struct {
+	full bool
+	// weight[2v+b] counts the sample cubes (see NewCubeIndex) that bind
+	// variable v to b; buckets[2v+b] holds the added cubes filed under
+	// that literal, and bit v of nonEmpty[b] is set when it is not empty.
+	weight   [2 * MaxVars]int32
+	buckets  [][]Cube
+	nonEmpty [2]uint64
+}
+
+// NewCubeIndex returns an empty index tuned for queries like the sample
+// cubes. A query looks at the buckets of its own literals, so a bucket
+// costs little when few queries bind its literal. The index counts how
+// many sample cubes bind each literal and files an added cube under its
+// literal with the lowest count, the shortest bucket among equal counts.
+// The sample only steers the filing: answers do not depend on it.
+func NewCubeIndex(sample []Cube) *CubeIndex {
+	x := &CubeIndex{}
+	for _, c := range sample {
+		for b, vs := range c.literalMasks() {
+			for ; vs != 0; vs &= vs - 1 {
+				x.weight[2*bits.TrailingZeros64(vs)+b]++
+			}
+		}
+	}
+	return x
+}
+
+// literalMasks returns the variables c binds to 0 and those it binds to
+// 1.
+func (c Cube) literalMasks() [2]uint64 {
+	return [2]uint64{c.zero &^ c.one, c.one &^ c.zero}
+}
+
+// Add files c in the index.
+func (x *CubeIndex) Add(c Cube) {
+	lits := c.literalMasks()
+	if lits[0]|lits[1] == 0 {
+		x.full = true
+		return
+	}
+	if x.buckets == nil {
+		x.buckets = make([][]Cube, 2*int(c.n))
+	}
+	best := -1
+	for b, vs := range lits {
+		for ; vs != 0; vs &= vs - 1 {
+			k := 2*bits.TrailingZeros64(vs) + b
+			if best < 0 || x.weight[k] < x.weight[best] ||
+				x.weight[k] == x.weight[best] && len(x.buckets[k]) < len(x.buckets[best]) {
+				best = k
+			}
+		}
+	}
+	x.buckets[best] = append(x.buckets[best], c)
+	x.nonEmpty[best&1] |= 1 << uint(best>>1)
+}
+
+// Contains reports whether some cube added to the index contains c, which
+// must be non-empty and of the added cubes' arity.
+func (x *CubeIndex) Contains(c Cube) bool {
+	if x.full {
+		return true
+	}
+	for b, vs := range c.literalMasks() {
+		for vs &= x.nonEmpty[b]; vs != 0; vs &= vs - 1 {
+			for _, d := range x.buckets[2*bits.TrailingZeros64(vs)+b] {
+				if c.zero&^d.zero == 0 && c.one&^d.one == 0 {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }

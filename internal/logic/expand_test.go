@@ -407,3 +407,132 @@ func TestMaximalMatchesBruteForce(t *testing.T) {
 		}
 	}
 }
+
+// nestedCubes draws count cubes over n variables with deep containment:
+// sparse cubes (the first two bind variable n-1 to 0 and to 1, later ones
+// to 0, to 1 or not at all), dense random cubes, subcubes of earlier cubes
+// with one to three more variables bound, and repeats, shuffled; withFull
+// adds the full cube once.
+func nestedCubes(rr *rand.Rand, n, count int, withFull bool) []Cube {
+	sparse := func(last Val) Cube {
+		c := FullCube(n)
+		for b := 2 + rr.Intn(4); b > 0; b-- {
+			c = c.With(rr.Intn(n), Val(rr.Intn(2)))
+		}
+		if last != Dash {
+			c = c.With(n-1, last)
+		}
+		return c
+	}
+	cubes := []Cube{sparse(Zero), sparse(One)}
+	if withFull {
+		cubes = append(cubes, FullCube(n))
+	}
+	for len(cubes) < count {
+		switch k := rr.Intn(16); {
+		case k < 2:
+			cubes = append(cubes, cubes[rr.Intn(len(cubes))]) // repeat
+		case k < 4:
+			cubes = append(cubes, sparse(Val(rr.Intn(3)))) // 0, 1 or dash
+		case k < 7:
+			cubes = append(cubes, randomCube(rr, n))
+		default:
+			c := cubes[rr.Intn(len(cubes))]
+			for b := 1 + rr.Intn(3); b > 0; b-- {
+				if v := rr.Intn(n); c.Get(v) == Dash {
+					c = c.With(v, Val(rr.Intn(2)))
+				}
+			}
+			cubes = append(cubes, c)
+		}
+	}
+	rr.Shuffle(len(cubes), func(i, j int) { cubes[i], cubes[j] = cubes[j], cubes[i] })
+	return cubes
+}
+
+// TestMaximalFullArity extends TestMaximalMatchesBruteForce to the
+// index's full range: most lists are over 64 variables, with the last one
+// bound both ways, and hold several hundred cubes with nested containment
+// and repeats; every fourth holds the full cube.
+func TestMaximalFullArity(t *testing.T) {
+	rr := rand.New(rand.NewSource(4))
+	kept, dropped := 0, 0
+	for i := 0; i < 60; i++ {
+		n := MaxVars
+		if i%3 == 2 {
+			n = 1 + rr.Intn(MaxVars)
+		}
+		cubes := nestedCubes(rr, n, 200+rr.Intn(400), i%4 == 0)
+		got, want := Maximal(cubes), refMaximal(cubes)
+		if !sameCubes(got, want) {
+			t.Fatalf("instance %d (%d variables, %d cubes): Maximal kept %d cubes, want %d:\n got %v\nwant %v",
+				i, n, len(cubes), len(got), len(want), got, want)
+		}
+		kept += len(got)
+		dropped += len(cubes) - len(got)
+	}
+	t.Logf("Maximal kept %d cubes and dropped %d", kept, dropped)
+	if kept < 1000 || dropped < 1000 {
+		t.Fatalf("Maximal kept %d cubes and dropped %d; want both at least 1000", kept, dropped)
+	}
+}
+
+// TestCubeIndexMatchesScan checks CubeIndex.Contains against a scan of
+// every added cube, after each Add, for the zero-value index and for
+// tuned ones, at up to 64 variables.
+func TestCubeIndexMatchesScan(t *testing.T) {
+	rr := rand.New(rand.NewSource(5))
+	hits, misses := 0, 0
+	for i := 0; i < 60; i++ {
+		n := MaxVars
+		if i%3 == 2 {
+			n = 1 + rr.Intn(MaxVars)
+		}
+		added := nestedCubes(rr, n, 2+rr.Intn(300), i%4 == 0)
+		x := &CubeIndex{}
+		if i%2 == 1 {
+			x = NewCubeIndex(nestedCubes(rr, n, rr.Intn(300), false))
+		}
+		for k, c := range added {
+			x.Add(c)
+			for q := 0; q < 4; q++ {
+				d := added[rr.Intn(k+1)]
+				switch rr.Intn(4) {
+				case 0: // a subcube of an added cube
+					for v := 0; v < n; v++ {
+						if d.Get(v) == Dash && rr.Intn(4) == 0 {
+							d = d.With(v, Val(rr.Intn(2)))
+						}
+					}
+				case 1: // a supercube of one
+					for v := 0; v < n; v++ {
+						if rr.Intn(8) == 0 {
+							d = d.Free(v)
+						}
+					}
+				case 2:
+					d = randomCube(rr, n)
+				}
+				want := false
+				for _, a := range added[:k+1] {
+					if a.Contains(d) {
+						want = true
+						break
+					}
+				}
+				if got := x.Contains(d); got != want {
+					t.Fatalf("instance %d, after %d adds: Contains(%s) = %v, a scan says %v", i, k+1, d, got, want)
+				}
+				if want {
+					hits++
+				} else {
+					misses++
+				}
+			}
+		}
+	}
+	t.Logf("%d queries hit and %d missed", hits, misses)
+	if hits < 5000 || misses < 5000 {
+		t.Fatalf("%d queries hit and %d missed; want both at least 5000", hits, misses)
+	}
+}

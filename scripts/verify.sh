@@ -20,10 +20,14 @@ fi
 echo "== checkdoc (package docs + frontend/gen exported-identifier docs)"
 go run ./scripts/checkdoc
 echo "== synthesis bytes vs parent (golden synthesis documents of every"
-echo "   registry design, written by an earlier version, and the mask"
-echo "   enumerators checked in order against the map-based reference)"
+echo "   registry design, written by an earlier version; the mask"
+echo "   enumerators checked in order against the map-based reference,"
+echo "   Maximal and its containment index against brute force, the"
+echo "   dhf-prime list in order against the unpruned recursion, and the"
+echo "   FIR search spec's pinned cover)"
 go test -run '^TestGoldenSynthesis$' -count=1 ./internal/codec
-go test -run '^Test(MinimalHittingSets|ExpansionsMatchReference|ExpansionsTruncatedPrefix|PrimesContainingMatchesReference|MaximalMatchesBruteForce)$' -count=1 ./internal/logic
+go test -run '^Test(MinimalHittingSets|ExpansionsMatchReference|ExpansionsTruncatedPrefix|PrimesContainingMatchesReference|MaximalMatchesBruteForce|MaximalFullArity|CubeIndexMatchesScan)$' -count=1 ./internal/logic
+go test -run '^Test(DHFPrimesMatchReference|FIRBaselineSpecCover)$' -count=1 ./internal/hfmin
 echo "== go test -race"
 # 20m: the default 10m per-package budget is too tight for
 # internal/search under the race detector once the loadtest package's
@@ -120,10 +124,11 @@ echo "   the other in-flight jobs; asserted via obs pool gauges)"
 go test -race -run 'TestCancelFreesWorkersWithoutFailingOthers|TestHTTPBackpressureAndCancel' -count=1 ./internal/service
 echo "== covering solver cross-check (bb's cost equals a plain reference"
 echo "   search on the random corpus, bb's pinned optima on the GCD worst"
-echo "   matrix and spec, full pipeline synthesis at -j 4 bit-identical to"
-echo "   -j 1 on all three benchmarks)"
+echo "   matrix and spec and on the FIR search spec, the dhf-prime order"
+echo "   oracle, full pipeline synthesis at -j 4 bit-identical to -j 1 on"
+echo "   all three benchmarks)"
 go test -race -run 'TestSolverCrossCheck|TestGCDWorstCaseFixture' -count=1 ./internal/logic
-go test -race -run 'TestWorstCaseSpecSolvers' -count=1 ./internal/hfmin
+go test -race -run 'TestWorstCaseSpecSolvers|TestFIRBaselineSpecCover|TestDHFPrimesMatchReference' -count=1 ./internal/hfmin
 go test -race -run 'TestParallelRunEquivalence' -count=1 .
 echo "== gate-level closure (synthesized logic verified on every registry"
 echo "   benchmark, including the formerly-failing FIR and AR)"
