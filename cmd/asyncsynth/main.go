@@ -674,11 +674,7 @@ func verilog(args []string) error {
 		return err
 	}
 	for _, fu := range fus {
-		v, err := synth.Verilog(s.Machines[fu], results[fu])
-		if err != nil {
-			return err
-		}
-		fmt.Println(v)
+		fmt.Println(synth.Verilog(s.Machines[fu], results[fu]))
 	}
 	return nil
 }

@@ -105,11 +105,7 @@ func EncodeSynthesis(s *core.Synthesis, results map[string]*synth.Result) ([]byt
 			cd.Products = r.Products
 			cd.Literals = r.Literals
 			cd.NonHazardFree = r.NonHazardFree
-			v, err := synth.Verilog(m, r)
-			if err != nil {
-				return nil, errAt("controllers", "netlist for %s: %v", fu, err)
-			}
-			cd.Netlist = v
+			cd.Netlist = synth.Verilog(m, r)
 			doc.TotalProducts += r.Products
 			doc.TotalLiterals += r.Literals
 		}

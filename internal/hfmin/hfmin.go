@@ -353,6 +353,59 @@ func Covering(spec Spec) (Result, *logic.CoveringProblem, error) {
 	return res, prob, nil
 }
 
+// Feasible returns the error Minimize would return for spec, without
+// generating a single dhf-prime: nil, the Analyze error, or ErrInfeasible
+// naming the first required cube, in canonical order, that no dhf-prime
+// contains.
+//
+// It grows each required cube r into a cube c: while c intersects some
+// privileged cube's Trans without containing its Need, c becomes its
+// supercube with that Need. r is coverable exactly when the final c
+// misses every OFF-set cube:
+//   - Every dhf-implicant that contains r also contains c, because each
+//     growth step is forced: a legal implicant that contains c and meets
+//     Trans must contain Need, so it contains their supercube. So if c
+//     meets the OFF-set, no dhf-prime contains r, and Covering finds r's
+//     row empty.
+//   - Otherwise c is a legal implicant, and the prime that contains it is
+//     one of r's expansions. At each illegal step of dhfPrimes' shrink
+//     walk, the walk's cube contains c but not that privileged cube's
+//     Need, so c lies outside its Trans: c binds a variable the walk's
+//     cube leaves free to the value opposite Trans's. The shrink that
+//     binds it so still contains c. So one branch of the walk keeps
+//     containing c until it reaches a legal cube, a shrink inside a legal
+//     prime (which the walk emits in its own turn), or a cube it visited
+//     before. Maximal keeps a cube that contains the one reached, so r's
+//     row is not empty.
+//
+// Both hold for every required cube, so the first failing one, and with
+// it the error text, is Covering's too. The argument assumes that
+// logic.Expansions did not truncate r's expansions at
+// logic.MaxExpansions, which could drop the prime containing c.
+// Synthesizing the registry designs and gen seeds 0–59, and searching
+// diffeq and fir, truncates no enumeration.
+func Feasible(spec Spec) error {
+	res, err := Analyze(spec)
+	if err != nil {
+		return err
+	}
+	for _, r := range res.Required {
+		c := r
+		for grown := true; grown; {
+			grown = false
+			for _, pv := range res.Privileged {
+				if c.Intersects(pv.Trans) && !c.Contains(pv.Need) {
+					c, grown = c.Supercube(pv.Need), true
+				}
+			}
+		}
+		if res.OffSet.IntersectsCube(c) {
+			return fmt.Errorf("%w: required cube %s uncoverable", ErrInfeasible, r)
+		}
+	}
+	return nil
+}
+
 func minimize(ctx context.Context, spec Spec, solver logic.Solver) (Result, error) {
 	res, prob, err := Covering(spec)
 	if err != nil {

@@ -45,17 +45,24 @@ type Concrete struct {
 	Init    int
 }
 
+// initState is the ID of every concretized machine's initial state.
+const initState = 0
+
+// signals returns the input and output lists of m's concretized machine,
+// as fresh slices: the inputs are m's inputs followed by its sampled
+// levels, the outputs are m's outputs.
+func signals(m *bm.Machine) (inputs, outputs []string) {
+	return append(append([]string{}, m.Inputs...), m.Levels...), append([]string{}, m.Outputs...)
+}
+
 // Concretize resolves toggle edges by exploring (state, phase) pairs.
 // Transient states (whose only triggers are sampled conditions) are folded
 // into their predecessors. The nominal level of every signal is tracked
 // through the exploration; directed don't-cares do not erase phase
 // knowledge (early arrival changes timing, not event parity).
 func Concretize(m *bm.Machine) (*Concrete, error) {
-	c := &Concrete{
-		Name:    m.Name,
-		Inputs:  append(append([]string{}, m.Inputs...), m.Levels...),
-		Outputs: append([]string{}, m.Outputs...),
-	}
+	c := &Concrete{Name: m.Name}
+	c.Inputs, c.Outputs = signals(m)
 	// Phase-tracked signals: those with any toggle edge.
 	tracked := map[string]bool{}
 	for _, t := range m.Transitions {
@@ -116,6 +123,8 @@ func Concretize(m *bm.Machine) (*Concrete, error) {
 	for _, s := range m.InitialHigh {
 		initLevels[s] = 1
 	}
+	// The initial state is the first one created, so its ID is initState,
+	// and foldTransient never renumbers states.
 	c.Init = newState(m.Init, initLevels)
 
 	resolve := func(e bm.Event, levels map[string]int) (bm.Event, error) {

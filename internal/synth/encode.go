@@ -41,22 +41,31 @@ func hypercubeEncode(c *Concrete, reach []int, bits int) map[int]uint64 {
 		sort.Ints(nbrs[s])
 	}
 	// BFS order from init keeps each state close to an assigned neighbor.
+	// A hypercube is bipartite: an edge flips one bit, and with it the
+	// parity of the code's ones. So an edge between two states of equal
+	// BFS parity closes an odd cycle, no width has a distance-1
+	// embedding, and the search below could only burn its budget.
+	// Concretize creates every state by exploring from init, so the BFS
+	// sees every edge.
 	var order []int
-	seen := map[int]bool{c.Init: true}
+	parity := map[int]bool{c.Init: false}
 	queue := []int{c.Init}
 	for len(queue) > 0 {
 		s := queue[0]
 		queue = queue[1:]
 		order = append(order, s)
 		for _, n := range nbrs[s] {
-			if !seen[n] {
-				seen[n] = true
+			p, seen := parity[n]
+			if !seen {
+				parity[n] = !parity[s]
 				queue = append(queue, n)
+			} else if p == parity[s] {
+				return nil
 			}
 		}
 	}
 	for _, s := range reach {
-		if !seen[s] {
+		if _, seen := parity[s]; !seen {
 			order = append(order, s)
 		}
 	}

@@ -17,26 +17,31 @@ var verilogIdent = strings.NewReplacer("-", "_", "+", "p", "*", "m", "<", "lt", 
 // module: two-level sum-of-products per output and next-state function,
 // with the state variables fed back through (zero-delay) continuous
 // assignments. Signal names are sanitized to Verilog identifiers.
-func Verilog(m *bm.Machine, res *Result) (string, error) {
-	c, err := Concretize(m)
-	if err != nil {
-		return "", err
-	}
-	vars, _ := variableOrder(c, res.StateBits, res.OutputFeedback)
-	var b strings.Builder
+// The signal lists and the initial state come from m directly (see
+// signals and initState).
+func Verilog(m *bm.Machine, res *Result) string {
+	inputs, outputs := signals(m)
+	vars := variables(inputs, outputs, res.StateBits, res.OutputFeedback)
 	san := verilogIdent.Replace
-
-	inputs := append([]string{}, c.Inputs...)
-	outputs := append([]string{}, c.Outputs...)
+	// Each variable's literals, sanitized once per netlist.
+	pos, neg := make([]string, len(vars)), make([]string, len(vars))
+	for i, v := range vars {
+		pos[i] = san(v)
+		neg[i] = "~" + pos[i]
+	}
 	sort.Strings(outputs)
 
+	var b strings.Builder
+	oneHot := ""
+	if res.OneHot {
+		oneHot = " (one-hot)"
+	}
 	fmt.Fprintf(&b, "// Synthesized from burst-mode controller %s\n", m.Name)
 	fmt.Fprintf(&b, "// %d states, %d state bits%s, %d products, %d literals\n",
-		res.States, res.StateBits, map[bool]string{true: " (one-hot)", false: ""}[res.OneHot],
-		res.Products, res.Literals)
+		res.States, res.StateBits, oneHot, res.Products, res.Literals)
 	fmt.Fprintf(&b, "module %s (\n", san(m.Name))
-	for _, in := range inputs {
-		fmt.Fprintf(&b, "  input  wire %s,\n", san(in))
+	for _, in := range pos[:len(inputs)] {
+		fmt.Fprintf(&b, "  input  wire %s,\n", in)
 	}
 	for i, out := range outputs {
 		comma := ","
@@ -48,33 +53,44 @@ func Verilog(m *bm.Machine, res *Result) (string, error) {
 	b.WriteString(");\n\n")
 
 	// State variables: feedback wires with reset values per the encoding.
-	init := res.Encoding[c.Init]
+	init := res.Encoding[initState]
 	for bit := 0; bit < res.StateBits; bit++ {
 		fmt.Fprintf(&b, "  wire Y%d;        // state bit (reset %d)\n", bit, (init>>uint(bit))&1)
 	}
 	b.WriteString("\n")
 
-	expr := func(cv logic.Cover) string {
+	// expr writes a cover as a sum of products: constant 0 when empty,
+	// constant 1 when it holds the full cube.
+	expr := func(cv logic.Cover) {
 		if cv.Len() == 0 {
-			return "1'b0"
+			b.WriteString("1'b0")
+			return
 		}
-		var terms []string
 		for _, cube := range cv.Cubes {
-			var lits []string
+			if cube.Literals() == 0 {
+				b.WriteString("1'b1")
+				return
+			}
+		}
+		for j, cube := range cv.Cubes {
+			if j > 0 {
+				b.WriteString("\n             | ")
+			}
+			sep := ""
 			for i := 0; i < cube.N(); i++ {
+				lit := pos[i]
 				switch cube.Get(i) {
 				case logic.One:
-					lits = append(lits, san(vars[i]))
 				case logic.Zero:
-					lits = append(lits, "~"+san(vars[i]))
+					lit = neg[i]
+				default:
+					continue
 				}
+				b.WriteString(sep)
+				b.WriteString(lit)
+				sep = " & "
 			}
-			if len(lits) == 0 {
-				return "1'b1"
-			}
-			terms = append(terms, strings.Join(lits, " & "))
 		}
-		return strings.Join(terms, "\n             | ")
 	}
 
 	fns := append([]FuncResult{}, res.Functions...)
@@ -84,8 +100,10 @@ func Verilog(m *bm.Machine, res *Result) (string, error) {
 		if !f.HazardFree {
 			tag = "  // WARNING: not hazard-free"
 		}
-		fmt.Fprintf(&b, "  assign %s =%s\n               %s;\n\n", san(f.Name), tag, expr(f.Cover))
+		fmt.Fprintf(&b, "  assign %s =%s\n               ", san(f.Name), tag)
+		expr(f.Cover)
+		b.WriteString(";\n\n")
 	}
 	b.WriteString("endmodule\n")
-	return b.String(), nil
+	return b.String()
 }

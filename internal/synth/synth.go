@@ -122,7 +122,8 @@ func RungName(i int) string {
 // supplied Minimizer ignores solver), and cache hits are bit-identical to
 // fresh computations, so only the wall time depends on the cache state.
 //
-// The context is checked between rungs, before each per-output
+// The context is checked between rungs, before each feasibility check of
+// a binary-encoded strict attempt's outputs, before each per-output
 // minimization is dispatched (par.NamedMapCtx) and inside the minimizer
 // itself (hfmin.MinimizeCtx, or min's MinimizeCtx when it implements
 // MinimizerCtx), so a cancelled job releases its pool workers promptly. A
@@ -253,11 +254,13 @@ func oneHotEncoding(reach []int) (map[int]uint64, error) {
 
 // synthesizeWith builds and minimizes every function under an encoding.
 // In strict mode a hazard-infeasible function fails the whole attempt
-// rather than falling back to a (glitchy) plain cover. With feedback, the
-// outputs are fed back as additional state variables. The per-function
-// minimizations are independent (they only read the shared concretized
-// machine and encoding) and fan out across `workers` goroutines; exact
-// minimizations go through min when one is supplied.
+// rather than falling back to a (glitchy) plain cover, and under a binary
+// encoding the outputs are checked for that before anything is
+// minimized. With feedback, the outputs are fed back as additional state
+// variables. The per-function minimizations are independent (they only
+// read the shared concretized machine and encoding) and fan out across
+// `workers` goroutines; exact minimizations go through min when one is
+// supplied.
 func synthesizeWith(ctx context.Context, c *Concrete, enc map[int]uint64, bits int, oneHot, strict, feedback bool, workers int, min Minimizer, solver logic.Solver) (*Result, error) {
 	obs.Add("synth/attempts", 1)
 	vars, varIdx := variableOrder(c, bits, feedback)
@@ -348,15 +351,8 @@ func synthesizeWith(ctx context.Context, c *Concrete, enc map[int]uint64, bits i
 		}
 	}
 
-	// The span ends with the closure's actual error outcome (named return),
-	// so failed minimizations are attributed in traces instead of reading
-	// as clean spans. The span's unit field identifies the controller and
-	// function; the counter stays a bounded per-stage aggregate so the
-	// metrics registry's cardinality does not grow with design size.
-	minimized, err := par.NamedMapCtx(ctx, "hfmin", workers, fns, func(ctx context.Context, _ int, f fn) (_ FuncResult, err error) {
-		fnSp := obs.Start("hfmin", c.Name+"."+f.name)
-		defer func() { fnSp.EndErr(err) }()
-		obs.Add("hfmin/minimizations", 1)
+	// specOf builds one function's hazard-free minimization spec.
+	specOf := func(f fn) hfmin.Spec {
 		spec := hfmin.Spec{N: n}
 		for i, t := range c.Trans {
 			g := &geoms[i]
@@ -405,6 +401,52 @@ func synthesizeWith(ctx context.Context, c *Concrete, enc map[int]uint64, bits i
 				spec.Transitions = append(spec.Transitions, tHold)
 			}
 		}
+		return spec
+	}
+
+	// A strict attempt fails on its first hazard-infeasible function. On
+	// the registry designs and gen seeds 0–59, every strict binary attempt
+	// fails, and in each one rejected as hazard-infeasible that function
+	// is an output, while no strict one-hot attempt is hazard-infeasible.
+	// So the outputs of a binary-encoded strict attempt are refuted
+	// first, in index order, by hfmin.Feasible, which generates no
+	// dhf-prime: a doomed attempt costs one analysis per output up to the
+	// failing one, and poses nothing to the minimizer. A one-hot attempt
+	// skips the check, which would only add an analysis per output to an
+	// attempt that succeeds. The outputs lead fns, so the error is the
+	// lowest-index one the fan-out below would return at any worker
+	// count: every earlier function passed the check, so it minimizes.
+	// Each checked spec is canonical, and the fan-out minimizes that same
+	// spec, so an attempt that passes builds and sorts none twice.
+	var checked []hfmin.Spec
+	if strict && !oneHot {
+		checked = make([]hfmin.Spec, len(c.Outputs))
+		for i, f := range fns[:len(c.Outputs)] {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			checked[i] = specOf(f).Canonical()
+			if err := hfmin.Feasible(checked[i]); err != nil {
+				return nil, fmt.Errorf("function %s: %w", f.name, err)
+			}
+		}
+	}
+
+	// The span ends with the closure's actual error outcome (named return),
+	// so failed minimizations are attributed in traces instead of reading
+	// as clean spans. The span's unit field identifies the controller and
+	// function; the counter stays a bounded per-stage aggregate so the
+	// metrics registry's cardinality does not grow with design size.
+	minimized, err := par.NamedMapCtx(ctx, "hfmin", workers, fns, func(ctx context.Context, i int, f fn) (_ FuncResult, err error) {
+		fnSp := obs.Start("hfmin", c.Name+"."+f.name)
+		defer func() { fnSp.EndErr(err) }()
+		obs.Add("hfmin/minimizations", 1)
+		var spec hfmin.Spec
+		if i < len(checked) {
+			spec = checked[i]
+		} else {
+			spec = specOf(f)
+		}
 		hf := true
 		minimize := func(s hfmin.Spec) (hfmin.Result, error) { return hfmin.MinimizeSolver(ctx, s, solver) }
 		if min != nil {
@@ -451,17 +493,24 @@ func synthesizeWith(ctx context.Context, c *Concrete, enc map[int]uint64, bits i
 	return res, nil
 }
 
-// variableOrder lists inputs (wires, acks, sampled levels), optionally the
+// variables lists inputs (wires, acks, sampled levels), optionally the
 // fed-back outputs (outputs double as state variables, MINIMALIST's output
 // feedback), then the state bits.
-func variableOrder(c *Concrete, bits int, feedback bool) ([]string, map[string]int) {
-	vars := append([]string{}, c.Inputs...)
+func variables(inputs, outputs []string, bits int, feedback bool) []string {
+	vars := append([]string{}, inputs...)
 	if feedback {
-		vars = append(vars, c.Outputs...)
+		vars = append(vars, outputs...)
 	}
 	for b := 0; b < bits; b++ {
 		vars = append(vars, fmt.Sprintf("Y%d", b))
 	}
+	return vars
+}
+
+// variableOrder is the variables of a concretized machine with each
+// variable's index.
+func variableOrder(c *Concrete, bits int, feedback bool) ([]string, map[string]int) {
+	vars := variables(c.Inputs, c.Outputs, bits, feedback)
 	idx := map[string]int{}
 	for i, v := range vars {
 		idx[v] = i
@@ -504,20 +553,19 @@ func baseCube(c *Concrete, from *CState, t *CTrans, vars []string, varIdx map[st
 // postBurstCube binds every input at its nominal level after transition
 // t's burst (state bits left dashed).
 func postBurstCube(c *Concrete, from *CState, t *CTrans, n int) logic.Cube {
-	levels := map[string]int{}
-	for k, v := range from.Levels {
-		levels[k] = v
-	}
-	for _, e := range t.In {
-		// The just-consumed burst signals hold their arrival values while
-		// the state settles; acknowledgments follow their requests only
-		// after the out-burst propagates (tracked in Concretize's state
-		// levels).
-		levels[e.Signal] = b2i(e.Edge == bm.Rise)
-	}
 	cube := logic.FullCube(n)
 	for i, sig := range c.Inputs {
-		if lvl, ok := levels[sig]; ok && lvl >= 0 {
+		lvl, ok := from.Levels[sig]
+		for _, e := range t.In {
+			// The just-consumed burst signals hold their arrival values
+			// while the state settles; acknowledgments follow their
+			// requests only after the out-burst propagates (tracked in
+			// Concretize's state levels).
+			if e.Signal == sig {
+				lvl, ok = b2i(e.Edge == bm.Rise), true
+			}
+		}
+		if ok && lvl >= 0 {
 			cube = cube.With(i, boolVal(lvl == 1))
 		}
 	}

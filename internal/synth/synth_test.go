@@ -235,10 +235,7 @@ func TestVerilogNetlist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := Verilog(m, res)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := Verilog(m, res)
 	for _, want := range []string{"module hs", "input  wire req", "output wire ack", "assign ack =", "endmodule"} {
 		if !strings.Contains(v, want) {
 			t.Errorf("netlist missing %q:\n%s", want, v)
@@ -270,10 +267,7 @@ func TestVerilogDiffeqControllers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := Verilog(m, r)
-		if err != nil {
-			t.Fatalf("%s: %v", fu, err)
-		}
+		v := Verilog(m, r)
 		if !strings.Contains(v, "module "+fu) || !strings.Contains(v, "endmodule") {
 			t.Errorf("%s: malformed netlist", fu)
 		}

@@ -23,11 +23,15 @@ echo "== synthesis bytes vs parent (golden synthesis documents of every"
 echo "   registry design, written by an earlier version; the mask"
 echo "   enumerators checked in order against the map-based reference,"
 echo "   Maximal and its containment index against brute force, the"
-echo "   dhf-prime list in order against the unpruned recursion, and the"
-echo "   FIR search spec's pinned cover)"
+echo "   dhf-prime list in order against the unpruned recursion on"
+echo "   random specs, fixtures, the registry and the lenient rungs' specs,"
+echo "   the FIR search spec's pinned cover, the feasibility check against"
+echo "   full minimization, the strict rungs' pinned outcomes, netlists"
+echo "   against the concretizing renderer, and the hypercube encoder on"
+echo "   odd and even cycles)"
 go test -run '^TestGoldenSynthesis$' -count=1 ./internal/codec
 go test -run '^Test(MinimalHittingSets|ExpansionsMatchReference|ExpansionsTruncatedPrefix|PrimesContainingMatchesReference|MaximalMatchesBruteForce|MaximalFullArity|CubeIndexMatchesScan)$' -count=1 ./internal/logic
-go test -run '^Test(DHFPrimesMatchReference|FIRBaselineSpecCover)$' -count=1 ./internal/hfmin
+go test -run '^Test(DHFPrimesMatchReference|DHFPrimesMatchLenientRungs|FIRBaselineSpecCover|FeasibleMatchesMinimize|StrictRungOutcomes|VerilogMatchesConcretizedRenderer|HypercubeEncodeOddCycles)$' -count=1 ./internal/hfmin ./internal/synth
 echo "== go test -race"
 # 20m: the default 10m per-package budget is too tight for
 # internal/search under the race detector once the loadtest package's
