@@ -135,8 +135,10 @@ go test -race -run 'TestSolverCrossCheck|TestGCDWorstCaseFixture' -count=1 ./int
 go test -race -run 'TestWorstCaseSpecSolvers|TestFIRBaselineSpecCover|TestDHFPrimesMatchReference' -count=1 ./internal/hfmin
 go test -race -run 'TestParallelRunEquivalence' -count=1 .
 echo "== gate-level closure (synthesized logic verified on every registry"
-echo "   benchmark, including the formerly-failing FIR and AR)"
-go test -race -run 'TestGateClosureRegistry' -count=1 ./internal/bench
+echo "   benchmark, including the formerly-failing FIR and AR; the token,"
+echo "   controller- and gate-level simulators' output on the registry and"
+echo "   gen seeds 1-40 against testdata/sim_traces.txt)"
+go test -race -run 'TestGateClosureRegistry|TestSimulatorTraces' -count=1 ./internal/bench
 echo "== rewrite search smoke (DIFFEQ, bounded profile)"
 go run ./cmd/asyncsynth search diffeq -waves 1 -budget 16
 echo "== covering worst-case benchmarks"
