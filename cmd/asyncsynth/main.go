@@ -458,8 +458,13 @@ func simulate(args []string) error {
 	}
 	fmt.Printf("%s %s: verified against reference over %d delay assignments\n", bench, opt.Level, *seeds)
 	fmt.Printf("final registers (seed 0, %d events, t=%.1f):\n", res.Events, res.FinishTime)
-	for reg, v := range want {
-		fmt.Printf("  %s = %v (want %v)\n", reg, res.Regs[reg], v)
+	regs := make([]string, 0, len(want))
+	for reg := range want {
+		regs = append(regs, reg)
+	}
+	sort.Strings(regs)
+	for _, reg := range regs {
+		fmt.Printf("  %s = %v (want %v)\n", reg, res.Regs[reg], want[reg])
 	}
 	return nil
 }

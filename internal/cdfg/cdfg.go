@@ -79,6 +79,73 @@ const (
 	OpMov Op = "mov"
 )
 
+// opTable is the operator table: each operation's name in controller
+// signals and its arithmetic. Every simulator evaluates through it, and
+// extraction names the go lines from it. The sequential interpreter in
+// internal/frontend keeps its own arithmetic: it is the reference the
+// simulators are checked against.
+var opTable = map[Op]struct {
+	name string
+	eval func(a, b float64) float64
+}{
+	OpAdd: {"add", func(a, b float64) float64 { return a + b }},
+	OpSub: {"sub", func(a, b float64) float64 { return a - b }},
+	OpMul: {"mul", func(a, b float64) float64 { return a * b }},
+	OpLT:  {"lt", func(a, b float64) float64 { return b2f(a < b) }},
+	OpGT:  {"gt", func(a, b float64) float64 { return b2f(a > b) }},
+	OpEQ:  {"eq", func(a, b float64) float64 { return b2f(a == b) }},
+	OpMod: {"mod", func(a, b float64) float64 {
+		if int64(b) == 0 {
+			return 0
+		}
+		return float64(int64(a) % int64(b))
+	}},
+	OpMov: {"mov", func(a, _ float64) float64 { return a }},
+}
+
+// Valid reports whether op is a supported operation.
+func (op Op) Valid() bool {
+	_, ok := opTable[op]
+	return ok
+}
+
+// Name returns the operation's name in controller signals: a unit
+// performs it on request line go_<Name>. An unknown operation is "op".
+func (op Op) Name() string {
+	if d, ok := opTable[op]; ok {
+		return d.name
+	}
+	return "op"
+}
+
+// OpNamed returns the operation whose Name is name.
+func OpNamed(name string) (Op, bool) {
+	for op, d := range opTable {
+		if d.name == name {
+			return op, true
+		}
+	}
+	return "", false
+}
+
+// Eval applies the operation to operands a and b (OpMov ignores b).
+// Comparisons yield 1 or 0, and x % 0 is 0. Eval panics on an unknown
+// operation.
+func (op Op) Eval(a, b float64) float64 {
+	d, ok := opTable[op]
+	if !ok {
+		panic(fmt.Sprintf("cdfg: unknown op %q", op))
+	}
+	return d.eval(a, b)
+}
+
+func b2f(v bool) float64 {
+	if v {
+		return 1
+	}
+	return 0
+}
+
 // Stmt is a single RTL statement Dst := Src1 Op Src2 (or Dst := Src1 for
 // OpMov).
 type Stmt struct {

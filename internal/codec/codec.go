@@ -148,10 +148,6 @@ var (
 	branchNames = map[cdfg.OutBranch]string{
 		cdfg.OutAlways: "", cdfg.OutTrue: "true", cdfg.OutFalse: "false",
 	}
-	validOps = map[cdfg.Op]bool{
-		cdfg.OpAdd: true, cdfg.OpSub: true, cdfg.OpMul: true, cdfg.OpLT: true,
-		cdfg.OpGT: true, cdfg.OpEQ: true, cdfg.OpMod: true, cdfg.OpMov: true,
-	}
 
 	nodeKindVals  = invert(nodeKindNames)
 	blockKindVals = invert(blockKindNames)
@@ -277,7 +273,7 @@ func DecodeGraph(data []byte) (*cdfg.Graph, error) {
 		n := &cdfg.Node{ID: cdfg.NodeID(nd.ID), Kind: kind, FU: nd.FU, Cond: nd.Cond, Block: nd.Block, Order: nd.Order}
 		for j, sd := range nd.Stmts {
 			op := cdfg.Op(sd.Op)
-			if !validOps[op] {
+			if !op.Valid() {
 				return nil, errAt(fmt.Sprintf("%s.stmts[%d].op", path, j), "unknown operation %q", sd.Op)
 			}
 			if sd.Dst == "" || sd.Src1 == "" {

@@ -192,7 +192,7 @@ func decodeStmts(stmts []StmtDoc, path string) ([]cdfg.Stmt, error) {
 	var out []cdfg.Stmt
 	for j, sd := range stmts {
 		op := cdfg.Op(sd.Op)
-		if !validOps[op] {
+		if !op.Valid() {
 			return nil, errAt(fmt.Sprintf("%s[%d].op", path, j), "unknown operation %q", sd.Op)
 		}
 		if sd.Dst == "" || sd.Src1 == "" {

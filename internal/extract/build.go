@@ -207,7 +207,7 @@ func (c *ctrl) emitFragment(n *cdfg.Node) error {
 			selReq = append(selReq, "selB_"+st.Src2)
 			selAck = append(selAck, "selB_"+st.Src2+"_a")
 		}
-		gq := "go_" + opName(st.Op)
+		gq := "go_" + st.Op.Name()
 		goReq, goAck = append(goReq, gq), append(goAck, gq+"_a")
 		wsReq, wsAck = append(wsReq, "ws_"+st.Dst), append(wsAck, "ws_"+st.Dst+"_a")
 		wrReq, wrAck = append(wrReq, "wr_"+st.Dst), append(wrAck, "wr_"+st.Dst+"_a")
@@ -241,27 +241,6 @@ func (c *ctrl) emitFragment(n *cdfg.Node) error {
 		c.step(s.in, s.out, s.label)
 	}
 	return nil
-}
-
-func opName(op cdfg.Op) string {
-	switch op {
-	case cdfg.OpAdd:
-		return "add"
-	case cdfg.OpSub:
-		return "sub"
-	case cdfg.OpMul:
-		return "mul"
-	case cdfg.OpLT:
-		return "lt"
-	case cdfg.OpGT:
-		return "gt"
-	case cdfg.OpEQ:
-		return "eq"
-	case cdfg.OpMod:
-		return "mod"
-	default:
-		return "op"
-	}
 }
 
 func rises(sigs []string) []bm.Event {

@@ -1,9 +1,7 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
-	"strings"
 
 	"repro/internal/bm"
 	"repro/internal/cdfg"
@@ -23,32 +21,14 @@ type LogicSystem struct {
 	Primers    map[string]bm.Edge
 	Delays     MachineDelays
 	MaxEvents  int
-	// Trace, when set, observes every controller input event.
-	Trace func(t float64, fu, sig string, level bool)
-	// TraceOut, when set, observes every controller output level change.
-	TraceOut func(t float64, fu, sig string, level bool)
-	// Watch, when set, observes every register latch.
-	Watch func(t float64, dst string, v float64)
 }
 
 // LogicResult reports a gate-level simulation.
-type LogicResult struct {
-	Regs       map[string]float64
-	Events     int
-	FinishTime float64
-	Violations []string
-}
+type LogicResult = MachineResult
 
 type lsRun struct {
-	sys    *LogicSystem
-	q      msQueue
-	seq    int
-	now    float64
-	fus    map[string]*fuState
-	regSel map[string]string
-	regs   map[string]float64
-	res    *LogicResult
-	wireRx map[string][]string // wire → controllers listing it as input
+	sys *LogicSystem
+	dp  *datapath
 	// condRx maps a register to the controllers sampling it as a level.
 	condRx    map[string][]string
 	stateHops map[string]int
@@ -59,89 +39,48 @@ func (sys *LogicSystem) Run() (*LogicResult, error) {
 	if sys.MaxEvents == 0 {
 		sys.MaxEvents = 500000
 	}
-	r := &lsRun{
-		sys:       sys,
-		fus:       map[string]*fuState{},
-		regSel:    map[string]string{},
-		regs:      map[string]float64{},
-		wireRx:    map[string][]string{},
-		condRx:    map[string][]string{},
-		stateHops: map[string]int{},
-		res:       &LogicResult{Regs: map[string]float64{}},
+	r := &lsRun{sys: sys, condRx: map[string][]string{}, stateHops: map[string]int{}}
+	inputs := map[string][]string{}
+	for fu, ev := range sys.Evaluators {
+		inputs[fu] = ev.Inputs
 	}
-	for k, v := range sys.G.Init {
-		r.regs[k] = v
-	}
-	// Iterate all maps in sorted order: delays are drawn from a shared
-	// seeded PRNG in scheduling order, so map-iteration order would make
-	// runs with the same seed diverge across processes.
 	for _, fu := range sortedKeys(sys.Evaluators) {
-		ev := sys.Evaluators[fu]
-		r.fus[fu] = &fuState{}
-		for _, in := range ev.Inputs {
-			if bm.IsWire(in) {
-				r.wireRx[in] = append(r.wireRx[in], fu)
-			}
-		}
 		for _, lvl := range sys.Machines[fu].Levels {
 			r.condRx[lvl] = append(r.condRx[lvl], fu)
 		}
 	}
-	// Reset: condition levels reflect initial register values; primed wires
-	// and start wires rise at t=0.
+	// A falling request draws Delays.AckFall (see datapath.fall).
+	r.dp = newDatapath(sys.G, inputs, sys.Shared, sys.Delays, sys.Delays.AckFall, func(fu, sig string, e bm.Edge, t float64) {
+		r.setInput(fu, sig, e == bm.Rise, t)
+	})
+	// Condition levels follow the written register, and must reach their
+	// samplers before the latch acknowledgment does (the register output
+	// is bundled ahead of the ack): propagate synchronously.
+	r.dp.latched = func(dst string, t float64) {
+		for _, rx := range r.condRx[dst] {
+			r.setInput(rx, dst, r.dp.regs[dst] != 0, t)
+		}
+	}
+	// Reset: condition levels reflect initial register values before the
+	// primed and start wires rise.
 	for _, reg := range sortedKeys(r.condRx) {
 		for _, fu := range r.condRx[reg] {
-			reg, fu := reg, fu
-			r.schedule(0, func(t float64) { r.setInput(fu, reg, r.regs[reg] != 0, t) })
+			r.dp.at(0, func(t float64) { r.setInput(fu, reg, r.dp.regs[reg] != 0, t) })
 		}
 	}
-	for _, wire := range sortedKeys(sys.Primers) {
-		for _, fu := range r.wireRx[wire] {
-			wire, fu := wire, fu
-			r.schedule(0, func(t float64) { r.setInput(fu, wire, true, t) })
-		}
+	r.dp.reset(sys.Primers)
+	res, ok := r.dp.run(sys.MaxEvents)
+	if !ok {
+		return res, fmt.Errorf("sim: gate-level system exceeded %d events at t=%.1f", sys.MaxEvents, r.dp.now)
 	}
-	for _, fu := range sortedKeys(sys.Evaluators) {
-		ev := sys.Evaluators[fu]
-		for _, in := range ev.Inputs {
-			if strings.HasPrefix(in, "start") {
-				in, fu := in, fu
-				r.schedule(0, func(t float64) { r.setInput(fu, in, true, t) })
-			}
-		}
-	}
-	for len(r.q) > 0 {
-		if r.res.Events > sys.MaxEvents {
-			return r.res, fmt.Errorf("sim: gate-level system exceeded %d events at t=%.1f", sys.MaxEvents, r.now)
-		}
-		ev := heap.Pop(&r.q).(msEvent)
-		r.now = ev.time
-		ev.fn(ev.time)
-		r.res.Events++
-	}
-	for k, v := range r.regs {
-		r.res.Regs[k] = v
-	}
-	r.res.FinishTime = r.now
-	return r.res, nil
-}
-
-func (r *lsRun) schedule(dt float64, fn func(float64)) {
-	heap.Push(&r.q, msEvent{time: r.now + dt, seq: r.seq, fn: fn})
-	r.seq++
+	return res, nil
 }
 
 // setInput drives one input level of one controller, propagates the
 // resulting output changes, and schedules the state-feedback commit.
 func (r *lsRun) setInput(fu, signal string, level bool, t float64) {
-	if r.sys.Trace != nil {
-		r.sys.Trace(t, fu, signal, level)
-	}
-	ev := r.sys.Evaluators[fu]
-	changes, next := ev.Set(signal, level)
-	for _, sig := range sortedKeys(changes) {
-		r.emitLevel(fu, sig, changes[sig])
-	}
+	changes, next := r.sys.Evaluators[fu].Set(signal, level)
+	r.emit(fu, changes)
 	r.feedback(fu, next, t)
 }
 
@@ -154,174 +93,30 @@ func (r *lsRun) feedback(fu string, next uint64, t float64) {
 	}
 	r.stateHops[fu]++
 	if r.stateHops[fu] > r.sys.MaxEvents {
-		r.res.Violations = append(r.res.Violations,
-			fmt.Sprintf("t=%.2f %s: state feedback oscillates", t, fu))
+		r.dp.violate("t=%.2f %s: state feedback oscillates", t, fu)
 		return
 	}
 	fb := r.sys.Delays.Feedback
 	if fb == nil {
 		fb = r.sys.Delays.Ctrl
 	}
-	r.schedule(fb(), func(tt float64) {
+	r.dp.after(fb(), func(t float64) {
 		changes, follow := ev.Commit(next)
-		for _, sig := range sortedKeys(changes) {
-			r.emitLevel(fu, sig, changes[sig])
-		}
-		r.feedback(fu, follow, tt)
+		r.emit(fu, changes)
+		r.feedback(fu, follow, t)
 	})
 }
 
-// emitLevel routes a controller output level change to the datapath or to
-// receiving controllers, expanding LT5-shared signals.
-func (r *lsRun) emitLevel(fu, sig string, level bool) {
-	if r.sys.TraceOut != nil {
-		r.sys.TraceOut(r.now, fu, sig, level)
-	}
-	signals := []string{sig}
-	if r.sys.Shared != nil {
-		signals = append(signals, r.sys.Shared[fu][sig]...)
-	}
-	for _, s := range signals {
-		r.routeLevel(fu, s, level)
-	}
-}
-
-func (r *lsRun) routeLevel(fu, sig string, level bool) {
-	d := r.sys.Delays
-	switch {
-	case bm.IsWire(sig):
-		for _, rx := range r.wireRx[sig] {
-			rx := rx
-			r.schedule(d.Wire(), func(t float64) { r.setInput(rx, sig, level, t) })
+// emit routes controller output level changes, in signal order, to the
+// datapath or to receiving controllers, expanding LT5-shared signals.
+func (r *lsRun) emit(fu string, changes map[string]bool) {
+	for _, sig := range sortedKeys(changes) {
+		e := bm.Fall
+		if changes[sig] {
+			e = bm.Rise
 		}
-	case strings.HasPrefix(sig, "selA_"), strings.HasPrefix(sig, "selB_"):
-		reg := sig[5:]
-		fuState := r.fus[fu]
-		sig := sig
-		r.schedule(r.respDelay(d.Mux, level), func(t float64) {
-			if level {
-				if strings.HasPrefix(sig, "selA_") {
-					fuState.portA = reg
-				} else {
-					fuState.portB = reg
-				}
-			}
-			r.ack(fu, sig+"_a", level, t)
-		})
-	case strings.HasPrefix(sig, "go_"):
-		op := sig[3:]
-		fuState := r.fus[fu]
-		r.schedule(r.respDelay(d.FU, level), func(t float64) {
-			if level {
-				fuState.out = r.compute(op, fuState.portA, fuState.portB, fu, t)
-				fuState.outValid = true
-			}
-			r.ack(fu, sig+"_a", level, t)
-		})
-	case strings.HasPrefix(sig, "ws_"):
-		rest := sig[3:]
-		r.schedule(r.respDelay(d.Mux, level), func(t float64) {
-			if level {
-				if i := strings.Index(rest, "_"); i >= 0 {
-					r.regSel[rest[:i]] = "reg:" + rest[i+1:]
-				} else {
-					r.regSel[rest] = "fu:" + fu
-				}
-			}
-			r.ack(fu, sig+"_a", level, t)
-		})
-	case strings.HasPrefix(sig, "wr_"):
-		dst := sig[3:]
-		r.schedule(r.respDelay(d.Wr, level), func(t float64) {
-			if level {
-				r.latch(fu, dst, t)
-			}
-			r.ack(fu, sig+"_a", level, t)
-		})
-	case strings.HasPrefix(sig, "fin"):
-		// Environment completion.
-	default:
-		r.res.Violations = append(r.res.Violations, fmt.Sprintf("%s: unknown output %s", fu, sig))
-	}
-}
-
-// respDelay picks the datapath response delay: the full operation latency
-// on a rising request, the fast return-to-zero on a falling one (the LT4
-// timing assumption).
-func (r *lsRun) respDelay(rise func() float64, level bool) float64 {
-	if level {
-		return rise()
-	}
-	if r.sys.Delays.AckFall != nil {
-		return r.sys.Delays.AckFall()
-	}
-	return rise()
-}
-
-// ack drives a datapath acknowledgment level back into the controller.
-func (r *lsRun) ack(fu, ackSig string, level bool, t float64) {
-	for _, in := range r.sys.Evaluators[fu].Inputs {
-		if in == ackSig {
-			r.setInput(fu, ackSig, level, t)
-			return
+		for _, s := range r.dp.signals(fu, sig) {
+			r.dp.respond(fu, s, e, r.dp.now)
 		}
-	}
-}
-
-func (r *lsRun) compute(op, a, b, fu string, t float64) float64 {
-	if a == "" {
-		r.res.Violations = append(r.res.Violations, fmt.Sprintf("t=%.2f %s: %s with unselected port", t, fu, op))
-		return 0
-	}
-	va, vb := r.regs[a], r.regs[b]
-	switch op {
-	case "add":
-		return va + vb
-	case "sub":
-		return va - vb
-	case "mul":
-		return va * vb
-	case "lt":
-		return b2f(va < vb)
-	case "gt":
-		return b2f(va > vb)
-	case "eq":
-		return b2f(va == vb)
-	case "mod":
-		bi := int64(vb)
-		if bi == 0 {
-			return 0
-		}
-		return float64(int64(va) % bi)
-	default:
-		r.res.Violations = append(r.res.Violations, fmt.Sprintf("%s: unknown op %s", fu, op))
-		return 0
-	}
-}
-
-func (r *lsRun) latch(fu, dst string, t float64) {
-	sel := r.regSel[dst]
-	switch {
-	case strings.HasPrefix(sel, "fu:"):
-		src := r.fus[sel[3:]]
-		if !src.outValid {
-			r.res.Violations = append(r.res.Violations, fmt.Sprintf("t=%.2f latch %s from idle unit", t, dst))
-			return
-		}
-		r.regs[dst] = src.out
-	case strings.HasPrefix(sel, "reg:"):
-		r.regs[dst] = r.regs[sel[4:]]
-	default:
-		r.res.Violations = append(r.res.Violations, fmt.Sprintf("t=%.2f latch %s with unselected register mux", t, dst))
-		return
-	}
-	if r.sys.Watch != nil {
-		r.sys.Watch(t, dst, r.regs[dst])
-	}
-	// Condition levels follow the written register, and must reach their
-	// samplers before the latch acknowledgment does (the register output
-	// is bundled ahead of the ack): propagate synchronously.
-	for _, rx := range r.condRx[dst] {
-		r.setInput(rx, dst, r.regs[dst] != 0, t)
 	}
 }

@@ -1,10 +1,8 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"repro/internal/bm"
@@ -71,37 +69,13 @@ type MachineSystem struct {
 	MaxEvents int
 }
 
-// MachineResult reports a controller-level simulation.
+// MachineResult reports a controller-level or gate-level simulation.
 type MachineResult struct {
 	Regs       map[string]float64
 	FinishTime float64
 	Finished   bool
 	Events     int
 	Violations []string
-}
-
-type msEvent struct {
-	time float64
-	seq  int
-	fn   func(t float64)
-}
-
-type msQueue []msEvent
-
-func (q msQueue) Len() int { return len(q) }
-func (q msQueue) Less(i, j int) bool {
-	if q[i].time != q[j].time {
-		return q[i].time < q[j].time
-	}
-	return q[i].seq < q[j].seq
-}
-func (q msQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *msQueue) Push(x interface{}) { *q = append(*q, x.(msEvent)) }
-func (q *msQueue) Pop() interface{} {
-	old := *q
-	it := old[len(old)-1]
-	*q = old[:len(old)-1]
-	return it
 }
 
 // ctrlState is the runtime state of one controller.
@@ -132,121 +106,37 @@ func (cs *ctrlState) findMatch(sig string, want bm.Edge) int {
 	return -1
 }
 
-// fuState is the runtime state of one functional unit datapath.
-type fuState struct {
-	portA, portB string // selected source registers
-	out          float64
-	outValid     bool
-}
-
 type msRun struct {
 	sys   *MachineSystem
-	q     msQueue
-	seq   int
-	now   float64
+	dp    *datapath
 	ctrls map[string]*ctrlState
-	fus   map[string]*fuState
-	// regSel: selected input source per register: "fu:<unit>" or
-	// "reg:<src>".
-	regSel map[string]string
-	regs   map[string]float64
-	res    *MachineResult
-	// receivers of each global wire.
-	wireRx map[string][]*ctrlState
-	// expansion of shared signals per controller.
-	expand map[string]map[string][]string
 }
 
-// Run executes the controller system to quiescence.
+// Run executes the controller system to quiescence. Quiescence counts as
+// finished; callers check the register values.
 func (sys *MachineSystem) Run() (*MachineResult, error) {
 	if sys.MaxEvents == 0 {
 		sys.MaxEvents = 500000
 	}
-	r := &msRun{
-		sys:    sys,
-		ctrls:  map[string]*ctrlState{},
-		fus:    map[string]*fuState{},
-		regSel: map[string]string{},
-		regs:   map[string]float64{},
-		wireRx: map[string][]*ctrlState{},
-		expand: map[string]map[string][]string{},
-		res:    &MachineResult{Regs: map[string]float64{}},
-	}
-	for k, v := range sys.G.Init {
-		r.regs[k] = v
-	}
-	// Iterate all maps in sorted order: delays are drawn from a shared
-	// seeded PRNG in scheduling order, so map-iteration order would make
-	// runs with the same seed diverge across processes.
-	for _, fu := range sortedKeys(sys.Machines) {
-		m := sys.Machines[fu]
-		cs := &ctrlState{fu: fu, m: m, state: m.Init,
+	r := &msRun{sys: sys, ctrls: map[string]*ctrlState{}}
+	inputs := map[string][]string{}
+	for fu, m := range sys.Machines {
+		r.ctrls[fu] = &ctrlState{fu: fu, m: m, state: m.Init,
 			events: map[string][]bm.Edge{}, consumed: map[string]int{}}
-		r.ctrls[fu] = cs
-		r.fus[fu] = &fuState{}
-		for _, in := range m.Inputs {
-			if bm.IsWire(in) {
-				r.wireRx[in] = append(r.wireRx[in], cs)
-			}
-		}
-		exp := map[string][]string{}
-		if sys.Shared != nil {
-			for keep, others := range sys.Shared[fu] {
-				exp[keep] = others
-			}
-		}
-		r.expand[fu] = exp
+		inputs[fu] = m.Inputs
 	}
-	// Reset: prime the backward-constraint wires.
-	for _, wire := range sortedKeys(sys.Primers) {
-		edge := sys.Primers[wire]
-		for _, rx := range r.wireRx[wire] {
-			rx, wire, edge := rx, wire, edge
-			r.schedule(0, func(t float64) { r.deliver(rx, wire, edge, t) })
-		}
+	// A falling request draws the rising delay (see datapath.fall).
+	r.dp = newDatapath(sys.G, inputs, sys.Shared, sys.Delays, nil, func(fu, sig string, e bm.Edge, t float64) {
+		cs := r.ctrls[fu]
+		cs.events[sig] = append(cs.events[sig], e)
+		r.advance(cs, t)
+	})
+	r.dp.reset(sys.Primers)
+	res, ok := r.dp.run(sys.MaxEvents)
+	if !ok {
+		return res, fmt.Errorf("sim: controller system exceeded %d events at t=%.1f; states:\n%s", sys.MaxEvents, r.dp.now, r.DescribeState())
 	}
-	// Environment: raise all start wires at t=0.
-	started := map[string]bool{}
-	for _, fu := range sortedKeys(sys.Machines) {
-		m := sys.Machines[fu]
-		for _, in := range m.Inputs {
-			if strings.HasPrefix(in, "start") && !started[in+fu] {
-				started[in+fu] = true
-				cs := r.ctrls[fu]
-				in := in
-				r.schedule(0, func(t float64) { r.deliver(cs, in, bm.Rise, t) })
-			}
-		}
-	}
-	for len(r.q) > 0 {
-		if r.res.Events > sys.MaxEvents {
-			return r.res, fmt.Errorf("sim: controller system exceeded %d events at t=%.1f; states:\n%s", sys.MaxEvents, r.now, r.DescribeState())
-		}
-		ev := heap.Pop(&r.q).(msEvent)
-		r.now = ev.time
-		ev.fn(ev.time)
-		r.res.Events++
-	}
-	for k, v := range r.regs {
-		r.res.Regs[k] = v
-	}
-	r.res.FinishTime = r.now
-	// Finished when some controller emitted a fin wire (recorded by
-	// deliverEnv) or every controller is idle; we treat quiescence as
-	// finished and let callers check register values.
-	r.res.Finished = true
-	return r.res, nil
-}
-
-func (r *msRun) schedule(dt float64, fn func(float64)) {
-	heap.Push(&r.q, msEvent{time: r.now + dt, seq: r.seq, fn: fn})
-	r.seq++
-}
-
-// deliver records a signal event at a controller and advances it.
-func (r *msRun) deliver(cs *ctrlState, sig string, edge bm.Edge, t float64) {
-	cs.events[sig] = append(cs.events[sig], edge)
-	r.advance(cs, t)
+	return res, nil
 }
 
 // advance fires every enabled transition of the controller.
@@ -274,7 +164,7 @@ func (r *msRun) enabled(cs *ctrlState, tr *bm.Transition) bool {
 		}
 	}
 	for _, c := range tr.Cond {
-		if (r.regs[c.Signal] != 0) != c.Value {
+		if (r.dp.regs[c.Signal] != 0) != c.Value {
 			return false
 		}
 	}
@@ -285,8 +175,7 @@ func (r *msRun) fire(cs *ctrlState, tr *bm.Transition, t float64) {
 	for _, e := range tr.In {
 		idx := cs.findMatch(e.Signal, e.Edge)
 		if idx < 0 {
-			r.res.Violations = append(r.res.Violations,
-				fmt.Sprintf("t=%.2f %s: fired without matching %s%s", t, cs.fu, e.Signal, e.Edge))
+			r.dp.violate("t=%.2f %s: fired without matching %s%s", t, cs.fu, e.Signal, e.Edge)
 			continue
 		}
 		cs.consumed[e.Signal] = idx + 1
@@ -295,167 +184,18 @@ func (r *msRun) fire(cs *ctrlState, tr *bm.Transition, t float64) {
 	// Emit outputs after the controller delay, expanding LT5-shared
 	// signals.
 	for _, e := range tr.Out {
-		events := []bm.Event{e}
-		for _, folded := range r.expand[cs.fu][e.Signal] {
-			events = append(events, bm.Event{Signal: folded, Edge: e.Edge})
-		}
-		for _, out := range events {
-			out := out
-			r.schedule(r.sys.Delays.Ctrl(), func(tt float64) { r.emit(cs, out, tt) })
+		for _, sig := range r.dp.signals(cs.fu, e.Signal) {
+			r.dp.after(r.sys.Delays.Ctrl(), func(t float64) { r.dp.respond(cs.fu, sig, e.Edge, t) })
 		}
 	}
-}
-
-// emit routes a controller output event to the datapath or to receiving
-// controllers.
-func (r *msRun) emit(cs *ctrlState, e bm.Event, t float64) {
-	sig := e.Signal
-	switch {
-	case bm.IsWire(sig):
-		for _, rx := range r.wireRx[sig] {
-			rx := rx
-			r.schedule(r.sys.Delays.Wire(), func(tt float64) { r.deliver(rx, sig, e.Edge, tt) })
-		}
-	case strings.HasPrefix(sig, "selA_"), strings.HasPrefix(sig, "selB_"):
-		reg := sig[5:]
-		fu := r.fus[cs.fu]
-		r.schedule(r.sys.Delays.Mux(), func(tt float64) {
-			if e.Edge == bm.Rise {
-				if strings.HasPrefix(sig, "selA_") {
-					fu.portA = reg
-				} else {
-					fu.portB = reg
-				}
-			}
-			r.ackIfUsed(cs, sig+"_a", e.Edge, tt)
-		})
-	case strings.HasPrefix(sig, "go_"):
-		op := sig[3:]
-		fu := r.fus[cs.fu]
-		r.schedule(r.sys.Delays.FU(), func(tt float64) {
-			if e.Edge == bm.Rise {
-				fu.out = r.compute(op, fu.portA, fu.portB, cs.fu, tt)
-				fu.outValid = true
-			}
-			r.ackIfUsed(cs, sig+"_a", e.Edge, tt)
-		})
-	case strings.HasPrefix(sig, "ws_"):
-		rest := sig[3:]
-		r.schedule(r.sys.Delays.Mux(), func(tt float64) {
-			if e.Edge == bm.Rise {
-				if i := strings.Index(rest, "_"); i >= 0 {
-					// ws_<dst>_<src>: register-to-register move path.
-					r.regSel[rest[:i]] = "reg:" + rest[i+1:]
-				} else {
-					r.regSel[rest] = "fu:" + cs.fu
-				}
-			}
-			r.ackIfUsed(cs, sig+"_a", e.Edge, tt)
-		})
-	case strings.HasPrefix(sig, "wr_"):
-		dst := sig[3:]
-		r.schedule(r.sys.Delays.Wr(), func(tt float64) {
-			if e.Edge == bm.Rise {
-				r.latch(cs, dst, tt)
-			}
-			r.ackIfUsed(cs, sig+"_a", e.Edge, tt)
-		})
-	case strings.HasPrefix(sig, "fin"):
-		// Environment completion; nothing to do.
-	default:
-		r.res.Violations = append(r.res.Violations, fmt.Sprintf("t=%.2f %s: unknown output %s", t, cs.fu, sig))
-	}
-}
-
-// ackIfUsed delivers a datapath acknowledgment only if the controller
-// still listens to it (LT4 may have removed it).
-func (r *msRun) ackIfUsed(cs *ctrlState, ack string, edge bm.Edge, t float64) {
-	for _, in := range cs.m.Inputs {
-		if in == ack {
-			r.deliver(cs, ack, edge, t)
-			return
-		}
-	}
-}
-
-func (r *msRun) compute(op, a, b, fu string, t float64) float64 {
-	if a == "" || (b == "" && op != "mov") {
-		r.res.Violations = append(r.res.Violations, fmt.Sprintf("t=%.2f %s: %s with unselected ports (%q,%q)", t, fu, op, a, b))
-		return 0
-	}
-	va, vb := r.regs[a], r.regs[b]
-	switch op {
-	case "add":
-		return va + vb
-	case "sub":
-		return va - vb
-	case "mul":
-		return va * vb
-	case "lt":
-		return b2f(va < vb)
-	case "gt":
-		return b2f(va > vb)
-	case "eq":
-		return b2f(va == vb)
-	case "mod":
-		bi := int64(vb)
-		if bi == 0 {
-			return 0
-		}
-		return float64(int64(va) % bi)
-	default:
-		r.res.Violations = append(r.res.Violations, fmt.Sprintf("t=%.2f %s: unknown op %s", t, fu, op))
-		return 0
-	}
-}
-
-func (r *msRun) latch(cs *ctrlState, dst string, t float64) {
-	sel := r.regSel[dst]
-	switch {
-	case strings.HasPrefix(sel, "fu:"):
-		fu := r.fus[sel[3:]]
-		if !fu.outValid {
-			r.res.Violations = append(r.res.Violations, fmt.Sprintf("t=%.2f latch %s from idle unit %s", t, dst, sel))
-			return
-		}
-		r.regs[dst] = fu.out
-	case strings.HasPrefix(sel, "reg:"):
-		r.regs[dst] = r.regs[sel[4:]]
-	default:
-		r.res.Violations = append(r.res.Violations, fmt.Sprintf("t=%.2f latch %s with unselected register mux", t, dst))
-	}
-}
-
-// sortedKeys returns the map's keys in sorted order, for deterministic
-// iteration wherever scheduling draws delays from the shared PRNG.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // DescribeState renders the controllers' current states (for debugging
 // stuck systems).
 func (r *msRun) DescribeState() string {
-	var fus []string
-	for fu := range r.ctrls {
-		fus = append(fus, fu)
-	}
-	sort.Strings(fus)
 	var b strings.Builder
-	for _, fu := range fus {
-		cs := r.ctrls[fu]
-		fmt.Fprintf(&b, "%s @ s%d\n", fu, cs.state)
+	for _, fu := range sortedKeys(r.ctrls) {
+		fmt.Fprintf(&b, "%s @ s%d\n", fu, r.ctrls[fu].state)
 	}
 	return b.String()
 }

@@ -11,7 +11,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -104,32 +103,6 @@ func NewTokenSim(g *cdfg.Graph, d Delays) *TokenSim {
 	return &TokenSim{g: g, delays: d, MaxFirings: 100000, CheckRaces: true}
 }
 
-type tokenEvent struct {
-	time float64
-	arc  *cdfg.Arc   // token arrival (nil for retries)
-	node cdfg.NodeID // retry target when arc is nil
-	seq  int
-}
-
-type eventQueue []tokenEvent
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].time != q[j].time {
-		return q[i].time < q[j].time
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(tokenEvent)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
-}
-
 type regAccess struct {
 	start, end float64
 	write      bool
@@ -151,16 +124,8 @@ func (s *TokenSim) Run() (*Result, error) {
 	tokens := map[cdfg.ArcID]int{}
 	busyUntil := map[cdfg.NodeID]float64{}
 	accesses := map[string][]regAccess{}
-	var q eventQueue
-	seq := 0
-	push := func(t float64, a *cdfg.Arc) {
-		heap.Push(&q, tokenEvent{time: t, arc: a, node: -1, seq: seq})
-		seq++
-	}
-	pushRetry := func(t float64, n cdfg.NodeID) {
-		heap.Push(&q, tokenEvent{time: t, node: n, seq: seq})
-		seq++
-	}
+	var q queue
+	var arrive func(a *cdfg.Arc) func(t float64)
 
 	violate := func(t float64, format string, args ...interface{}) {
 		res.Violations = append(res.Violations, Violation{Time: t, Msg: fmt.Sprintf(format, args...)})
@@ -257,7 +222,7 @@ func (s *TokenSim) Run() (*Result, error) {
 						accesses[r] = append(accesses[r], regAccess{start: t, end: t, node: n.ID})
 					}
 				}
-				vals[i] = evalStmt(st, res.Regs)
+				vals[i] = st.Op.Eval(res.Regs[st.Src1], res.Regs[st.Src2])
 			}
 			for i, st := range n.Stmts {
 				res.Regs[st.Dst] = vals[i]
@@ -286,57 +251,55 @@ func (s *TokenSim) Run() (*Result, error) {
 				// Backward arcs deliver their token like regular arcs; only
 				// pre-enabling at loop entry is special.
 				if branch != cdfg.OutFalse {
-					push(done+s.wireDelay(a), a)
+					q.at(done+s.wireDelay(a), arrive(a))
 				}
 				continue
 			}
 			if a.Branch == cdfg.OutAlways || a.Branch == branch {
-				push(done+s.wireDelay(a), a)
+				q.at(done+s.wireDelay(a), arrive(a))
 			}
 		}
 	}
 
-	// Kick off START.
-	startNode := g.Node(g.Start)
-	fire(startNode, cdfg.GroupAll, 0)
-
-	for q.Len() > 0 {
-		if res.Firings > s.MaxFirings {
-			return res, fmt.Errorf("sim: exceeded %d firings (runaway loop?)", s.MaxFirings)
-		}
-		ev := heap.Pop(&q).(tokenEvent)
-		var n *cdfg.Node
-		if ev.arc != nil {
-			a := ev.arc
-			tokens[a.ID]++
-			if tokens[a.ID] > res.MaxOccupied[a.ID] {
-				res.MaxOccupied[a.ID] = tokens[a.ID]
-			}
-			if tokens[a.ID] > 1 {
-				violate(ev.time, "wire safety: arc %d (n%d→n%d) has %d pending tokens", a.ID, a.From, a.To, tokens[a.ID])
-			}
-			n = g.Node(a.To)
-		} else {
-			n = g.Node(ev.node)
-		}
-		// Try to fire the destination (and keep firing while enabled:
-		// several arcs may have arrived at the same instant). A node is a
-		// sequential resource: if it is still busy, defer the firing so
-		// register reads happen at the true firing time.
+	// try fires node n at time t while it is enabled: several arcs may
+	// have arrived at the same instant. A node is a sequential resource:
+	// if it is still busy, the firing is deferred so register reads
+	// happen at the true firing time.
+	var try func(n *cdfg.Node, t float64)
+	try = func(n *cdfg.Node, t float64) {
 		for {
 			grp, ok := ready(n)
 			if !ok {
 				break
 			}
-			if bu := busyUntil[n.ID]; bu > ev.time {
-				pushRetry(bu, n.ID)
+			if bu := busyUntil[n.ID]; bu > t {
+				q.at(bu, func(t float64) { try(n, t) })
 				break
 			}
-			fire(n, grp, ev.time)
+			fire(n, grp, t)
 			if n.Kind == cdfg.KindEnd || n.Kind == cdfg.KindStart {
 				break
 			}
 		}
+	}
+	// arrive delivers a token on arc a.
+	arrive = func(a *cdfg.Arc) func(t float64) {
+		return func(t float64) {
+			tokens[a.ID]++
+			if tokens[a.ID] > res.MaxOccupied[a.ID] {
+				res.MaxOccupied[a.ID] = tokens[a.ID]
+			}
+			if tokens[a.ID] > 1 {
+				violate(t, "wire safety: arc %d (n%d→n%d) has %d pending tokens", a.ID, a.From, a.To, tokens[a.ID])
+			}
+			try(g.Node(a.To), t)
+		}
+	}
+
+	// Kick off START.
+	fire(g.Node(g.Start), cdfg.GroupAll, 0)
+	if !q.run(func() bool { return res.Firings > s.MaxFirings }) {
+		return res, fmt.Errorf("sim: exceeded %d firings (runaway loop?)", s.MaxFirings)
 	}
 
 	if s.CheckRaces {
@@ -414,47 +377,5 @@ func (s *TokenSim) detectRaces(accesses map[string][]regAccess, res *Result) {
 				}
 			}
 		}
-	}
-}
-
-// evalStmt computes the value of one RTL statement against the register
-// file.
-func evalStmt(st cdfg.Stmt, regs map[string]float64) float64 {
-	a := regs[st.Src1]
-	switch st.Op {
-	case cdfg.OpMov:
-		return a
-	}
-	b := regs[st.Src2]
-	switch st.Op {
-	case cdfg.OpAdd:
-		return a + b
-	case cdfg.OpSub:
-		return a - b
-	case cdfg.OpMul:
-		return a * b
-	case cdfg.OpLT:
-		if a < b {
-			return 1
-		}
-		return 0
-	case cdfg.OpGT:
-		if a > b {
-			return 1
-		}
-		return 0
-	case cdfg.OpEQ:
-		if a == b {
-			return 1
-		}
-		return 0
-	case cdfg.OpMod:
-		ai, bi := int64(a), int64(b)
-		if bi == 0 {
-			return 0
-		}
-		return float64(ai % bi)
-	default:
-		panic(fmt.Sprintf("sim: unknown op %q", st.Op))
 	}
 }

@@ -213,8 +213,11 @@ func TestRunawayLoopDetected(t *testing.T) {
 	}
 }
 
+// TestEvalStmt checks statement evaluation as the token simulator does
+// it, through the operator table on cdfg.Op.
 func TestEvalStmt(t *testing.T) {
 	regs := map[string]float64{"a": 7, "b": 3}
+	eval := func(st cdfg.Stmt) float64 { return st.Op.Eval(regs[st.Src1], regs[st.Src2]) }
 	cases := []struct {
 		op   cdfg.Op
 		want float64
@@ -223,15 +226,18 @@ func TestEvalStmt(t *testing.T) {
 		{cdfg.OpLT, 0}, {cdfg.OpGT, 1}, {cdfg.OpEQ, 0}, {cdfg.OpMod, 1},
 	}
 	for _, tc := range cases {
-		got := evalStmt(cdfg.Stmt{Dst: "d", Op: tc.op, Src1: "a", Src2: "b"}, regs)
+		got := eval(cdfg.Stmt{Dst: "d", Op: tc.op, Src1: "a", Src2: "b"})
 		if got != tc.want {
 			t.Errorf("%s: got %v, want %v", tc.op, got, tc.want)
 		}
+		if op, ok := cdfg.OpNamed(tc.op.Name()); !ok || op != tc.op {
+			t.Errorf("%s: OpNamed(%q) = %q, %v", tc.op, tc.op.Name(), op, ok)
+		}
 	}
-	if got := evalStmt(cdfg.Stmt{Dst: "d", Op: cdfg.OpMov, Src1: "a"}, regs); got != 7 {
+	if got := eval(cdfg.Stmt{Dst: "d", Op: cdfg.OpMov, Src1: "a"}); got != 7 {
 		t.Errorf("mov: got %v", got)
 	}
-	if got := evalStmt(cdfg.Stmt{Dst: "d", Op: cdfg.OpMod, Src1: "a", Src2: "z"}, regs); got != 0 {
+	if got := eval(cdfg.Stmt{Dst: "d", Op: cdfg.OpMod, Src1: "a", Src2: "z"}); got != 0 {
 		t.Errorf("mod by zero: got %v, want 0", got)
 	}
 }
