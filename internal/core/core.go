@@ -73,10 +73,9 @@ type Options struct {
 	// changes. Sharing one cache across runs (e.g. an exploration sweep)
 	// turns repeated minimization problems into hits.
 	Minimizer synth.Minimizer
-	// Solver selects the covering mode of the hazard-free minimizations
-	// (see logic.Solver): exact branch-and-bound (zero value, the only
-	// exact mode) or the greedy heuristic. Ignored when Minimizer is set,
-	// which minimizes with branch-and-bound.
+	// Solver names the covering mode of the hazard-free minimizations
+	// (see logic.Solver); exact branch-and-bound, the zero value, is the
+	// only one.
 	Solver logic.Solver
 	// LTConfigs selects a per-controller subset/order of the local
 	// transforms (a rewrite-search decision); nil, or a missing entry,

@@ -1,7 +1,7 @@
 // Package hfmin implements hazard-free two-level logic minimization for
 // functions specified by multiple-input-change transitions, following the
 // required-cube / dhf-prime-implicant framework of Nowick–Dill and the exact
-// and heuristic algorithms of Theobald–Nowick (TCAD'98). It stands in for
+// algorithm of Theobald–Nowick (TCAD'98). It stands in for
 // the MINIMALIST and 3D minimizers used in the paper.
 //
 // A specification is a set of input transitions. Each transition is a cube
@@ -282,15 +282,7 @@ var ErrInfeasible = errors.New("hfmin: specification has no hazard-free cover")
 // two-level cover of the specification, using exact branch-and-bound
 // covering.
 func Minimize(spec Spec) (Result, error) {
-	return minimize(context.Background(), spec, logic.SolverBB)
-}
-
-// MinimizeHeuristic computes a hazard-free cover using only the greedy
-// covering heuristic — much faster on large problems, possibly more
-// products. It mirrors the fast-heuristic mode of the Theobald–Nowick
-// minimizer the paper's tool chain uses.
-func MinimizeHeuristic(spec Spec) (Result, error) {
-	return minimize(context.Background(), spec, logic.SolverGreedy)
+	return minimize(context.Background(), spec)
 }
 
 // MinimizeCtx is Minimize with cooperative cancellation: the context is
@@ -300,20 +292,7 @@ func MinimizeHeuristic(spec Spec) (Result, error) {
 // minimization promptly. A cancelled call returns ctx.Err(); partial
 // results are discarded, never cached (see internal/memo).
 func MinimizeCtx(ctx context.Context, spec Spec) (Result, error) {
-	return minimize(ctx, spec, logic.SolverBB)
-}
-
-// MinimizeHeuristicCtx is MinimizeHeuristic with the cancellation
-// behaviour of MinimizeCtx.
-func MinimizeHeuristicCtx(ctx context.Context, spec Spec) (Result, error) {
-	return minimize(ctx, spec, logic.SolverGreedy)
-}
-
-// MinimizeSolver is MinimizeCtx with an explicit covering mode:
-// logic.SolverBB is MinimizeCtx itself, logic.SolverGreedy is
-// MinimizeHeuristicCtx (which reports Exact=false).
-func MinimizeSolver(ctx context.Context, spec Spec, solver logic.Solver) (Result, error) {
-	return minimize(ctx, spec, solver)
+	return minimize(ctx, spec)
 }
 
 // Covering derives the unate covering problem behind a spec's exact
@@ -406,7 +385,7 @@ func Feasible(spec Spec) error {
 	return nil
 }
 
-func minimize(ctx context.Context, spec Spec, solver logic.Solver) (Result, error) {
+func minimize(ctx context.Context, spec Spec) (Result, error) {
 	res, prob, err := Covering(spec)
 	if err != nil {
 		return res, err
@@ -420,7 +399,7 @@ func minimize(ctx context.Context, spec Spec, solver logic.Solver) (Result, erro
 		return res, err
 	}
 	prob.Cancel = ctx.Err
-	cols, exact := prob.SolveWith(solver)
+	cols, exact := prob.Solve()
 	res.Exact = exact
 	// A cancelled covering search returns its fallback solution; discard
 	// it — a cancelled job must not observe (or cache) partial answers.

@@ -270,48 +270,6 @@ func TestTransitionCube(t *testing.T) {
 	}
 }
 
-// The heuristic mode must produce valid hazard-free covers that are never
-// smaller than the exact ones.
-func TestMinimizeHeuristicValid(t *testing.T) {
-	r := rand.New(rand.NewSource(23))
-	compared := 0
-	for iter := 0; iter < 60; iter++ {
-		spec := randomSpec(r, 5, 4)
-		exact, errE := Minimize(spec)
-		heur, errH := MinimizeHeuristic(spec)
-		if (errE == nil) != (errH == nil) {
-			t.Fatalf("iter %d: exact err %v, heuristic err %v", iter, errE, errH)
-		}
-		if errE != nil {
-			continue
-		}
-		if err := Verify(heur, heur.Cover); err != nil {
-			t.Fatalf("iter %d: heuristic cover invalid: %v", iter, err)
-		}
-		if heur.Products() < exact.Products() {
-			t.Errorf("iter %d: heuristic %d products < exact %d", iter, heur.Products(), exact.Products())
-		}
-		compared++
-	}
-	if compared == 0 {
-		t.Error("no instances compared")
-	}
-}
-
-func TestHeuristicNotExactFlag(t *testing.T) {
-	spec := Spec{N: 2, Transitions: []Transition{
-		tr("00", "01", Static1),
-		tr("10", "11", Static0),
-	}}
-	res, err := MinimizeHeuristic(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Exact {
-		t.Error("heuristic result must not claim exactness")
-	}
-}
-
 // TestCanonicalSorts: Canonical orders transitions by (kind, start, end)
 // and is idempotent; the input spec is never mutated.
 func TestCanonicalSorts(t *testing.T) {
@@ -356,46 +314,23 @@ func TestMinimizeOrderIndependent(t *testing.T) {
 		r.Shuffle(len(shuffled.Transitions), func(i, j int) {
 			shuffled.Transitions[i], shuffled.Transitions[j] = shuffled.Transitions[j], shuffled.Transitions[i]
 		})
-		for _, minimize := range []func(Spec) (Result, error){Minimize, MinimizeHeuristic} {
-			a, errA := minimize(spec)
-			b, errB := minimize(shuffled)
-			if (errA == nil) != (errB == nil) {
-				t.Fatalf("iter %d: original err %v, shuffled err %v", iter, errA, errB)
-			}
-			if errA != nil {
-				if errA.Error() != errB.Error() {
-					t.Errorf("iter %d: error %q differs from shuffled %q", iter, errA, errB)
-				}
-				continue
-			}
-			if !reflect.DeepEqual(a, b) {
-				t.Errorf("iter %d: shuffled spec minimized differently\n got %+v\nwant %+v", iter, b, a)
-			}
-			compared++
+		a, errA := Minimize(spec)
+		b, errB := Minimize(shuffled)
+		if (errA == nil) != (errB == nil) {
+			t.Fatalf("iter %d: original err %v, shuffled err %v", iter, errA, errB)
 		}
+		if errA != nil {
+			if errA.Error() != errB.Error() {
+				t.Errorf("iter %d: error %q differs from shuffled %q", iter, errA, errB)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("iter %d: shuffled spec minimized differently\n got %+v\nwant %+v", iter, b, a)
+		}
+		compared++
 	}
 	if compared == 0 {
 		t.Fatal("no feasible random specs; generator is broken")
-	}
-}
-
-// TestMinimizeHeuristicRandomVerifies extends the exact-solver property
-// test to the heuristic path: every successful result must verify.
-func TestMinimizeHeuristicRandomVerifies(t *testing.T) {
-	r := rand.New(rand.NewSource(17))
-	ok := 0
-	for iter := 0; iter < 100; iter++ {
-		spec := randomSpec(r, 5, 4)
-		res, err := MinimizeHeuristic(spec)
-		if err != nil {
-			continue
-		}
-		if verr := Verify(res, res.Cover); verr != nil {
-			t.Fatalf("iter %d: heuristic cover %s fails verification: %v", iter, res.Cover, verr)
-		}
-		ok++
-	}
-	if ok == 0 {
-		t.Fatal("no random spec was feasible; generator is broken")
 	}
 }

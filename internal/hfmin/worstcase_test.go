@@ -1,11 +1,8 @@
 package hfmin
 
 import (
-	"context"
 	"os"
 	"testing"
-
-	"repro/internal/logic"
 )
 
 // loadSpecFixture loads a minimization spec from testdata.
@@ -45,7 +42,7 @@ func firBaselineSpecFixture(tb testing.TB) Spec {
 // pseudo-Boolean search also proved.
 func TestWorstCaseSpecSolvers(t *testing.T) {
 	spec := worstSpecFixture(t)
-	bb, err := MinimizeSolver(context.Background(), spec, logic.SolverBB)
+	bb, err := Minimize(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +86,7 @@ func BenchmarkMinimizeWorstCase(b *testing.B) {
 			var res Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				res, err = MinimizeSolver(context.Background(), leg.spec, logic.SolverBB)
+				res, err = Minimize(leg.spec)
 				if err != nil {
 					b.Fatal(err)
 				}

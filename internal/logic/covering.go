@@ -52,9 +52,8 @@ func (p *CoveringProblem) unitOr() []int {
 }
 
 // SolveGreedy returns the greedy cover (best cost/coverage ratio first)
-// without branch-and-bound refinement, or nil when infeasible. This is the
-// fast-heuristic mode in the spirit of Theobald–Nowick's heuristic
-// minimizer.
+// without branch-and-bound refinement, or nil when infeasible. It is the
+// incumbent Solve starts from.
 func (p *CoveringProblem) SolveGreedy() []int {
 	for _, r := range p.Rows {
 		if len(r) == 0 {

@@ -10,38 +10,24 @@ import "fmt"
 // cover, even one of equal cost.
 const SolverVersion = "covering-v2"
 
-// Solver selects a covering mode. The numbers are part of persisted memo
-// and stage keys, so a mode keeps its number for good.
+// Solver names a covering mode. SolverBB is the only one; its number is
+// part of persisted memo and stage keys, so it keeps it for good.
 type Solver int
 
-// Covering modes.
-const (
-	// SolverBB is the exact branch-and-bound search (bitset matrix,
-	// dual-ascent lower bound, dominance reductions); its answers define
-	// the canonical cover.
-	SolverBB Solver = 0
-	// SolverGreedy is the non-exact greedy heuristic (best cost/coverage
-	// ratio first), which also seeds SolverBB's incumbent.
-	SolverGreedy Solver = 2
-)
+// SolverBB is the exact branch-and-bound search (bitset matrix,
+// dual-ascent lower bound, dominance reductions); its answers define the
+// canonical cover.
+const SolverBB Solver = 0
 
 func (s Solver) String() string {
-	switch s {
-	case SolverBB:
+	if s == SolverBB {
 		return "bb"
-	case SolverGreedy:
-		return "greedy"
-	default:
-		return fmt.Sprintf("Solver(%d)", int(s))
 	}
+	return fmt.Sprintf("Solver(%d)", int(s))
 }
 
-// SolveWith dispatches to the selected mode. Greedy reports exact =
-// false (its cover is feasible but unproven); branch-and-bound reports
-// whether the search completed within the step budget.
-func (p *CoveringProblem) SolveWith(s Solver) (cols []int, exact bool) {
-	if s == SolverGreedy {
-		return p.SolveGreedy(), false
-	}
+// SolveWith is Solve: branch-and-bound is the one covering mode. It
+// reports whether the search completed within the step budget.
+func (p *CoveringProblem) SolveWith(Solver) (cols []int, exact bool) {
 	return p.Solve()
 }

@@ -13,14 +13,13 @@
 //
 // A problem is identified by the SHA-256 hash of the canonical form of its
 // hfmin.Spec (transitions sorted by the total order on (kind, start, end)
-// cube keys — see hfmin.Spec.Canonical) together with the covering mode
-// (logic.Solver: exact branch-and-bound or the greedy heuristic),
-// logic.SolverVersion and a package-version salt. Logically identical
-// specs collide regardless of construction order; bumping Salt or
-// logic.SolverVersion when minimizer or solver behaviour changes
-// invalidates every previously persisted entry rather than silently
-// replaying stale covers. The mode is part of the key because the exact
-// and heuristic covers of one spec differ.
+// cube keys — see hfmin.Spec.Canonical) together with the covering mode's
+// number (logic.SolverBB, the only mode, kept in the key so no persisted
+// key moved when the greedy mode went), logic.SolverVersion and a
+// package-version salt. Logically identical specs collide regardless of
+// construction order; bumping Salt or logic.SolverVersion when minimizer
+// or solver behaviour changes invalidates every previously persisted
+// entry rather than silently replaying stale covers.
 //
 // # In-memory tier and deduplication
 //
@@ -82,8 +81,7 @@ import (
 // Key folds in alongside this salt.
 const Salt = "memo-v1/hfmin-v1"
 
-// Cache memoizes hfmin.Minimize and hfmin.MinimizeHeuristic as hfmin
-// records in a Store. The zero value is not usable; call New or OnStore.
+// Cache memoizes hfmin.Minimize as hfmin records in a Store. The zero value is not usable; call New or OnStore.
 // A nil *Cache is a valid pass-through that memoizes nothing.
 type Cache struct {
 	store *Store
@@ -124,26 +122,30 @@ func (c *Cache) Minimize(spec hfmin.Spec) (hfmin.Result, error) {
 }
 
 // MinimizeCtx is Minimize with cooperative cancellation; it satisfies
-// synth.MinimizerCtx. A lookup that dedup-waits on another goroutine's
-// computation stops waiting when ctx ends (the computing job keeps its
-// own context); a computation cancelled mid-solve is discarded and its
-// key vacated, never cached, so concurrent jobs sharing the cache cannot
-// observe one another's cancellations as results.
+// synth.MinimizerCtx. A solve's outcome (result, infeasibility verdict or
+// other error) is the cached value. A lookup that dedup-waits on another
+// goroutine's computation stops waiting when ctx ends (the computing job
+// keeps its own context); a computation cancelled mid-solve is discarded
+// and its key vacated, never cached, so concurrent jobs sharing the cache
+// cannot observe one another's cancellations as results.
 func (c *Cache) MinimizeCtx(ctx context.Context, spec hfmin.Spec) (hfmin.Result, error) {
 	if c == nil {
 		return hfmin.MinimizeCtx(ctx, spec)
 	}
-	return c.lookup(ctx, spec, logic.SolverBB, hfmin.MinimizeCtx)
-}
-
-// MinimizeHeuristic is hfmin.MinimizeHeuristic behind the cache; the
-// exact/heuristic flag is part of the key, so the two solvers never share
-// entries.
-func (c *Cache) MinimizeHeuristic(spec hfmin.Spec) (hfmin.Result, error) {
-	if c == nil {
-		return hfmin.MinimizeHeuristic(spec)
+	// Sort once: the key and the solver's Analyze reuse the order.
+	spec = spec.Canonical()
+	v, _, err := c.store.do(ctx, &c.store.records, canonicalKey(spec, logic.SolverBB), recordCodec{}, func(ctx context.Context) (any, error) {
+		res, err := hfmin.MinimizeCtx(ctx, spec)
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			return nil, err
+		}
+		return &record{res: res, err: err}, nil
+	})
+	if err != nil {
+		return hfmin.Result{}, err
 	}
-	return c.lookup(context.Background(), spec, logic.SolverGreedy, hfmin.MinimizeHeuristicCtx)
+	r := v.(*record)
+	return r.res, r.err
 }
 
 // Key returns the content-addressed cache key of (spec, solver): the
@@ -187,25 +189,4 @@ func canonicalKey(canon hfmin.Spec, solver logic.Solver) [sha256.Size]byte {
 	var key [sha256.Size]byte
 	h.Sum(key[:0])
 	return key
-}
-
-// lookup serves one minimization from the store. A solve's outcome —
-// result, infeasibility verdict or other error — is the cached value;
-// only a context error is returned to the store as a failure, which
-// vacates the key so a cancelled job never poisons it for other jobs.
-func (c *Cache) lookup(ctx context.Context, spec hfmin.Spec, solver logic.Solver, solve func(context.Context, hfmin.Spec) (hfmin.Result, error)) (hfmin.Result, error) {
-	// Sort once: the key and the solver's Analyze reuse the order.
-	spec = spec.Canonical()
-	v, _, err := c.store.do(ctx, &c.store.records, canonicalKey(spec, solver), recordCodec{}, func(ctx context.Context) (any, error) {
-		res, err := solve(ctx, spec)
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, err
-		}
-		return &record{res: res, err: err}, nil
-	})
-	if err != nil {
-		return hfmin.Result{}, err
-	}
-	r := v.(*record)
-	return r.res, r.err
 }

@@ -55,9 +55,6 @@ func TestKeyOrderIndependent(t *testing.T) {
 	if Key(a, logic.SolverBB) != Key(b, logic.SolverBB) {
 		t.Error("reordered spec must produce the same key")
 	}
-	if Key(a, logic.SolverBB) == Key(a, logic.SolverGreedy) {
-		t.Error("exact and heuristic keys must differ")
-	}
 	c := simpleSpec()
 	c.Transitions[0].Kind = hfmin.Static0
 	c.Transitions[1].Kind = hfmin.Static1
@@ -66,14 +63,14 @@ func TestKeyOrderIndependent(t *testing.T) {
 	}
 }
 
-// TestKeyGolden pins the key bytes of one spec under each covering mode.
+// TestKeyGolden pins the key bytes of one spec under the covering mode.
 // Entries persisted in a -cache-dir or held by fleet peers are found by
-// these bytes, so a change to the salts, the hashed layout or a Solver's
-// number must show up here rather than orphan every stored entry.
+// these bytes, so a change to the salts, the hashed layout or the
+// Solver's number must show up here rather than orphan every stored
+// entry.
 func TestKeyGolden(t *testing.T) {
 	for solver, want := range map[logic.Solver]string{
-		logic.SolverBB:     "1d0c50241e8589d675e70a7dc90a2748e1f6b4ea1f6c57a55a545cb0f58f3fea",
-		logic.SolverGreedy: "ffc503ee108e39ba859a2f5e89db276cf3b258245580c3314bbda7135c9d5fb1",
+		logic.SolverBB: "1d0c50241e8589d675e70a7dc90a2748e1f6b4ea1f6c57a55a545cb0f58f3fea",
 	} {
 		if got := hexKey(simpleSpec(), solver); got != want {
 			t.Errorf("Key(simpleSpec, %v) = %s, want %s", solver, got, want)
@@ -287,8 +284,8 @@ func TestNilCachePassThrough(t *testing.T) {
 }
 
 // TestRandomSpecsMemoEqualsDirect: property check over random small specs —
-// for both solver modes the cache returns exactly what a direct call
-// returns, on cold and warm paths, with disk persistence in the loop.
+// the cache returns exactly what a direct call returns, on cold and warm
+// paths, with disk persistence in the loop.
 func TestRandomSpecsMemoEqualsDirect(t *testing.T) {
 	dir := t.TempDir()
 	cold := mustCache(t, dir)
@@ -299,30 +296,19 @@ func TestRandomSpecsMemoEqualsDirect(t *testing.T) {
 	}
 	warm := func(c *Cache) {
 		for i, spec := range specs {
-			for _, exact := range []bool{true, false} {
-				var direct hfmin.Result
-				var derr error
-				var got hfmin.Result
-				var gerr error
-				if exact {
-					direct, derr = hfmin.Minimize(spec)
-					got, gerr = c.Minimize(spec)
-				} else {
-					direct, derr = hfmin.MinimizeHeuristic(spec)
-					got, gerr = c.MinimizeHeuristic(spec)
+			direct, derr := hfmin.Minimize(spec)
+			got, gerr := c.Minimize(spec)
+			if (derr == nil) != (gerr == nil) {
+				t.Fatalf("spec %d: direct err %v, memo err %v", i, derr, gerr)
+			}
+			if derr != nil {
+				if derr.Error() != gerr.Error() {
+					t.Errorf("spec %d: error %q, want %q", i, gerr, derr)
 				}
-				if (derr == nil) != (gerr == nil) {
-					t.Fatalf("spec %d exact=%v: direct err %v, memo err %v", i, exact, derr, gerr)
-				}
-				if derr != nil {
-					if derr.Error() != gerr.Error() {
-						t.Errorf("spec %d exact=%v: error %q, want %q", i, exact, gerr, derr)
-					}
-					continue
-				}
-				if !reflect.DeepEqual(got, direct) {
-					t.Errorf("spec %d exact=%v: memoized result differs", i, exact)
-				}
+				continue
+			}
+			if !reflect.DeepEqual(got, direct) {
+				t.Errorf("spec %d: memoized result differs", i)
 			}
 		}
 	}

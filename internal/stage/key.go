@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/cdfg"
 	"repro/internal/core"
-	"repro/internal/logic"
 	"repro/internal/transform"
 )
 
@@ -189,16 +188,6 @@ func hashTransformOptions(h hash.Hash, topt transform.Options) {
 		}
 		writeU64(h, uint64(int64(topt.GT5.Reduces)))
 	}
-}
-
-// effectiveSolver resolves the covering mode the synth stage will
-// actually minimize with: a Minimizer minimizes with branch-and-bound,
-// overriding Options.Solver, which only the direct hfmin path reads.
-func effectiveSolver(opt core.Options) logic.Solver {
-	if opt.Minimizer != nil {
-		return logic.SolverBB
-	}
-	return opt.Solver
 }
 
 // u64bytes renders one integer as a key part.

@@ -220,12 +220,11 @@ func (e *Engine) Run(ctx context.Context, g *cdfg.Graph, opt core.Options) (_ *c
 	}
 	sort.Strings(fus)
 
-	solver := effectiveSolver(opt)
 	// Stages 3+4: the per-controller chains are independent; fan them out
 	// like core's LT/synth loops, each controller flowing through its LT
 	// lookup straight into its synth lookup without a barrier.
 	outs, err := par.NamedMapCtx(ctx, "stage", opt.Parallelism, fus, func(ctx context.Context, _ int, fu string) (*fuResult, error) {
-		return e.runFU(ctx, fu, ex.Machines[fu], opt, solver)
+		return e.runFU(ctx, fu, ex.Machines[fu], opt)
 	})
 	if err != nil {
 		return nil, nil, err
@@ -243,7 +242,7 @@ func (e *Engine) Run(ctx context.Context, g *cdfg.Graph, opt core.Options) (_ *c
 }
 
 // runFU runs one controller's LT and synthesis stages through the cache.
-func (e *Engine) runFU(ctx context.Context, fu string, m *bm.Machine, opt core.Options, solver logic.Solver) (*fuResult, error) {
+func (e *Engine) runFU(ctx context.Context, fu string, m *bm.Machine, opt core.Options) (*fuResult, error) {
 	mb, err := bm.EncodeMachine(m)
 	if err != nil {
 		return nil, err
@@ -274,7 +273,7 @@ func (e *Engine) runFU(ctx context.Context, fu string, m *bm.Machine, opt core.O
 	synthKey := stageKey("synth",
 		mb,
 		u64bytes(uint64(int64(rung))),
-		u64bytes(uint64(solver)),
+		u64bytes(uint64(logic.SolverBB)),
 		[]byte(logic.SolverVersion))
 	v, src, serr := e.store.Do(ctx, synthKey, synthCodec{}, func(ctx context.Context) (any, error) {
 		return core.SynthPhase(ctx, out.m, opt.Parallelism, opt.Minimizer, opt.Solver, rung, fu)

@@ -118,9 +118,9 @@ func RungName(i int) string {
 // each is minimized against the same immutable concretized machine and
 // encoding, and results are collected by function index, so the outcome
 // is bit-identical at every worker count. Every exact minimization routes
-// through min (nil = hfmin directly, with the covering mode solver; a
-// supplied Minimizer ignores solver), and cache hits are bit-identical to
+// through min (nil = hfmin directly), and cache hits are bit-identical to
 // fresh computations, so only the wall time depends on the cache state.
+// solver names the covering mode; logic.SolverBB is the only one.
 //
 // The context is checked between rungs, before each feasibility check of
 // a binary-encoded strict attempt's outputs, before each per-output
@@ -166,7 +166,7 @@ func SynthesizeRung(ctx context.Context, m *bm.Machine, workers int, min Minimiz
 				lastErr = encErr
 				continue
 			}
-			res, err := synthesizeWith(ctx, c, enc, len(reach), true, a.strict, a.feedback, workers, min, solver)
+			res, err := synthesizeWith(ctx, c, enc, len(reach), true, a.strict, a.feedback, workers, min)
 			if err == nil {
 				res.Controller = m.Name
 				recordSynth(res)
@@ -183,7 +183,7 @@ func SynthesizeRung(ctx context.Context, m *bm.Machine, workers int, min Minimiz
 			if enc == nil {
 				enc = sequentialEncoding(c, reach, bits)
 			}
-			res, err := synthesizeWith(ctx, c, enc, bits, false, a.strict, a.feedback, workers, min, solver)
+			res, err := synthesizeWith(ctx, c, enc, bits, false, a.strict, a.feedback, workers, min)
 			if err == nil {
 				res.Controller = m.Name
 				recordSynth(res)
@@ -261,7 +261,7 @@ func oneHotEncoding(reach []int) (map[int]uint64, error) {
 // read the shared concretized machine and encoding) and fan out across
 // `workers` goroutines; exact minimizations go through min when one is
 // supplied.
-func synthesizeWith(ctx context.Context, c *Concrete, enc map[int]uint64, bits int, oneHot, strict, feedback bool, workers int, min Minimizer, solver logic.Solver) (*Result, error) {
+func synthesizeWith(ctx context.Context, c *Concrete, enc map[int]uint64, bits int, oneHot, strict, feedback bool, workers int, min Minimizer) (*Result, error) {
 	obs.Add("synth/attempts", 1)
 	vars, varIdx := variableOrder(c, bits, feedback)
 	n := len(vars)
@@ -448,7 +448,7 @@ func synthesizeWith(ctx context.Context, c *Concrete, enc map[int]uint64, bits i
 			spec = specOf(f)
 		}
 		hf := true
-		minimize := func(s hfmin.Spec) (hfmin.Result, error) { return hfmin.MinimizeSolver(ctx, s, solver) }
+		minimize := func(s hfmin.Spec) (hfmin.Result, error) { return hfmin.MinimizeCtx(ctx, s) }
 		if min != nil {
 			if mc, ok := min.(MinimizerCtx); ok {
 				minimize = func(s hfmin.Spec) (hfmin.Result, error) { return mc.MinimizeCtx(ctx, s) }
