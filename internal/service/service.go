@@ -223,9 +223,6 @@ type Job struct {
 	result []byte
 	cancel context.CancelFunc
 	done   chan struct{}
-
-	submitted time.Time
-	finished  time.Time
 }
 
 // ID returns the job's server-assigned identifier.
@@ -288,13 +285,19 @@ func (j *Job) finish(state State, result []byte, err error) {
 	j.state = state
 	j.result = result
 	j.err = err
-	j.finished = time.Now()
 	close(j.done)
 	j.mu.Unlock()
 	j.pushState(state, err)
 }
 
+// maxFinished is how many finished jobs the job index keeps; a variable
+// so tests can lower it.
+var maxFinished = 1024
+
 // Manager owns the admission queue, the runner pool and the job index.
+// The index keeps every queued and running job and the maxFinished most
+// recently finished ones; an older finished job is forgotten, and its ID
+// answers ErrNotFound.
 type Manager struct {
 	cfg  Config
 	base context.Context
@@ -302,6 +305,7 @@ type Manager struct {
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
+	finished []string   // IDs of finished jobs in the index, oldest first
 	queue    []*Job     // admitted jobs waiting for a runner, oldest first
 	wake     *sync.Cond // on mu: the queue grew or Drain began
 	draining bool
@@ -361,14 +365,13 @@ func (m *Manager) SubmitMode(graph *cdfg.Graph, level core.Level, mode Mode) (*J
 		id += "@" + m.cfg.NodeID
 	}
 	job := &Job{
-		id:        id,
-		graph:     graph,
-		level:     level,
-		mode:      mode,
-		events:    newEventLog(),
-		state:     StateQueued,
-		done:      make(chan struct{}),
-		submitted: time.Now(),
+		id:     id,
+		graph:  graph,
+		level:  level,
+		mode:   mode,
+		events: newEventLog(),
+		state:  StateQueued,
+		done:   make(chan struct{}),
 	}
 	// Log queued before the job is on the queue: a runner may take it at
 	// once and push running, which must not come first.
@@ -429,7 +432,6 @@ func (m *Manager) Cancel(id string) (*Job, error) {
 		obs.Add("service/jobs_cancelled", 1)
 		job.state = StateCancelled
 		job.err = context.Canceled
-		job.finished = time.Now()
 		close(job.done)
 		job.mu.Unlock()
 		job.pushState(StateCancelled, context.Canceled)
@@ -491,16 +493,29 @@ func (m *Manager) Draining() bool {
 
 // unqueue takes a job cancelled while queued off the queue, so its slot
 // admits the next submission at once rather than when a runner reaches
-// it.
+// it, and records it as finished.
 func (m *Manager) unqueue(job *Job) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.retire(job)
 	for i, q := range m.queue {
 		if q == job {
 			m.queue = append(m.queue[:i], m.queue[i+1:]...)
 			obs.Set("service/jobs_queued", int64(len(m.queue)))
 			return
 		}
+	}
+}
+
+// retire appends a job reaching its terminal state to the finished FIFO
+// and forgets the oldest finished jobs beyond maxFinished. Queued and
+// running jobs are never in the FIFO, so they are never forgotten. The
+// caller holds m.mu.
+func (m *Manager) retire(job *Job) {
+	m.finished = append(m.finished, job.id)
+	for len(m.finished) > maxFinished {
+		delete(m.jobs, m.finished[0])
+		m.finished = m.finished[1:]
 	}
 }
 
@@ -568,12 +583,14 @@ func (m *Manager) runJob(job *Job) {
 	} else {
 		enc, err = m.synthesize(ctx, job)
 	}
-	// Settle the job's counters before finish publishes its terminal
-	// state, so a job seen as terminal is counted under its outcome and
-	// is no longer in the running gauge.
+	// Settle the job's counters and the index before finish publishes its
+	// terminal state, so a job seen as terminal is counted under its
+	// outcome, is no longer in the running gauge, and has pushed the
+	// oldest finished job beyond the bound out of the index.
 	m.mu.Lock()
 	m.running--
 	obs.Set("service/jobs_running", m.running)
+	m.retire(job)
 	m.mu.Unlock()
 	switch {
 	case err == nil:

@@ -468,6 +468,80 @@ func TestJobLifecycle(t *testing.T) {
 	}
 }
 
+// TestFinishedJobsEvicted pins the job index's bound without sleeps:
+// with room for two finished jobs, the oldest finished job answers 404
+// on every per-job endpoint once two later jobs finish, whether it
+// finished by a queued cancel or in its runner, while queued and running
+// jobs, older than every finished one, stay.
+func TestFinishedJobsEvicted(t *testing.T) {
+	defer func(n int) { maxFinished = n }(maxFinished)
+	maxFinished = 2
+	min := &gateMin{gate: make(chan struct{}), entered: make(chan struct{})}
+	m := New(Config{Concurrency: 1, QueueDepth: 8, Minimizer: min})
+	defer m.Close()
+	srv := httptest.NewServer(m.Handler())
+	defer srv.Close()
+	diffeqGraph := func() *cdfg.Graph { return diffeq.Build(diffeq.DefaultParams()) }
+
+	running := mustSubmit(t, m, diffeqGraph(), core.OptimizedGTLT)
+	<-min.entered // the one runner holds it at the gate
+	queued := mustSubmit(t, m, diffeqGraph(), core.OptimizedGTLT)
+	var cancelled []*Job
+	for i := 0; i < 3; i++ {
+		job := mustSubmit(t, m, diffeqGraph(), core.OptimizedGTLT)
+		if _, err := m.Cancel(job.ID()); err != nil {
+			t.Fatal(err)
+		}
+		cancelled = append(cancelled, job)
+	}
+	evicted := func(jobs ...*Job) {
+		t.Helper()
+		for _, job := range jobs {
+			if _, err := m.Get(job.ID()); !errors.Is(err, ErrNotFound) {
+				t.Errorf("%s: Get = %v, want ErrNotFound", job.ID(), err)
+			}
+			url := srv.URL + "/v1/jobs/" + job.ID()
+			for _, req := range []struct{ method, url string }{
+				{"GET", url}, {"GET", url + "/result"}, {"GET", url + "/events"}, {"PATCH", url},
+			} {
+				r, err := http.NewRequest(req.method, req.url, strings.NewReader("{}"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, err := http.DefaultClient.Do(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusNotFound {
+					t.Errorf("%s %s: status %d, want 404", req.method, req.url, resp.StatusCode)
+				}
+			}
+		}
+	}
+	kept := func(jobs ...*Job) {
+		t.Helper()
+		for _, job := range jobs {
+			if got, err := m.Get(job.ID()); err != nil || got != job {
+				t.Errorf("%s (%v): Get = %v, %v; want the job", job.ID(), job.State(), got, err)
+			}
+		}
+	}
+	evicted(cancelled[0])
+	kept(running, queued, cancelled[1], cancelled[2])
+
+	// Jobs finishing in their runner push the remaining cancelled ones
+	// out.
+	close(min.gate)
+	<-running.Done()
+	<-queued.Done()
+	if running.State() != StateDone || queued.State() != StateDone {
+		t.Fatalf("states %v, %v; want done", running.State(), queued.State())
+	}
+	evicted(cancelled...)
+	kept(running, queued)
+}
+
 func TestCancelQueuedJobNeverRuns(t *testing.T) {
 	min := &gateMin{gate: make(chan struct{})}
 	m := New(Config{Concurrency: 1, QueueDepth: 2, Minimizer: min})
