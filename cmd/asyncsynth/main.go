@@ -200,7 +200,7 @@ func setupObs() (func(), error) {
 		if err != nil {
 			return nil, fmt.Errorf("-trace: %w", err)
 		}
-		tr := obs.New(1 << 16)
+		tr := obs.New()
 		tr.SetSink(f)
 		tr.Enable()
 		obs.SetTracer(tr)

@@ -134,7 +134,7 @@ func run() int {
 	// The metrics registry is always on — /metrics is part of the API —
 	// and so is the span tracer, which feeds the per-job event streams.
 	obs.SetMetrics(obs.NewMetrics())
-	tracer := obs.New(0)
+	tracer := obs.New()
 	tracer.Enable()
 	obs.SetTracer(tracer)
 

@@ -7,18 +7,20 @@ import (
 )
 
 // Example shows the two halves of the observability layer: a Tracer
-// recording structured spans into its ring buffer, and a Metrics registry
-// aggregating the stage counters the -metrics table is built from.
+// handing structured spans to its watchers (and to a JSONL sink, when
+// set), and a Metrics registry aggregating the stage counters the
+// -metrics table is built from.
 func Example() {
 	// Tracing: bracket each pipeline stage in a span.
-	tr := obs.New(16)
+	tr := obs.New()
+	stop := tr.Watch(func(ev obs.SpanEvent) {
+		fmt.Println(ev.Stage, ev.Unit == "", ev.End >= ev.Start)
+	})
+	defer stop()
 	tr.Enable()
 	sp := tr.Start("gt2", "")
 	// ... the stage runs here ...
 	sp.End()
-	for _, ev := range tr.Events() {
-		fmt.Println(ev.Stage, ev.Unit == "", ev.End >= ev.Start)
-	}
 
 	// Metrics: counters accumulate, gauges hold the last value.
 	m := obs.NewMetrics()

@@ -15,9 +15,9 @@
 // "lt4", "hfmin"), an optional unit it worked on (a functional unit,
 // controller or output function), start/end timestamps relative to the
 // tracer's epoch, the goroutine that ran it, and the error outcome.
-// Completed spans land in the Tracer's fixed-capacity ring buffer (oldest
-// events are dropped, never blocking the pipeline) and, when a sink is
-// set, are streamed as one JSON object per line (JSONL).
+// The Tracer keeps no spans: a completed span is streamed, when a sink is
+// set, as one JSON object per line (JSONL), and handed to every watcher
+// (Tracer.Watch).
 //
 // Instrumented code uses the package-level entry points:
 //
@@ -39,9 +39,9 @@
 // All types are safe for concurrent use: spans may be started and ended
 // from any worker goroutine (the worker pool in internal/par records its
 // per-stage task and panic counts here too). Event IDs are assigned at
-// completion time, so Events() is ordered by completion and IDs are
-// strictly increasing — sorting by the Start field reconstructs the
-// wall-clock timeline.
+// completion time, in the order spans reach the sink, so IDs are strictly
+// increasing in completion order — sorting by the Start field
+// reconstructs the wall-clock timeline.
 package obs
 
 import (
@@ -53,8 +53,8 @@ import (
 	"time"
 )
 
-// SpanEvent is one completed span, as stored in the ring buffer and
-// emitted to the JSONL sink.
+// SpanEvent is one completed span, as emitted to the JSONL sink and to
+// watchers.
 type SpanEvent struct {
 	// ID is assigned when the span completes; IDs are unique and strictly
 	// increasing in completion order.
@@ -78,19 +78,14 @@ type SpanEvent struct {
 // Duration is the span's elapsed time.
 func (e SpanEvent) Duration() time.Duration { return time.Duration(e.End - e.Start) }
 
-// Tracer collects completed spans into a bounded in-memory ring buffer
-// and optionally streams them to a JSONL sink. The zero-capacity and nil
-// tracers are valid and record nothing.
+// Tracer numbers completed spans and streams them to a JSONL sink and to
+// watchers. The nil tracer is valid and records nothing.
 type Tracer struct {
 	enabled atomic.Bool
-	nextID  atomic.Uint64
 	epoch   time.Time
 
 	mu      sync.Mutex
-	buf     []SpanEvent
-	cap     int
-	next    int    // ring cursor once full
-	total   uint64 // events ever recorded
+	lastID  uint64
 	sink    io.Writer
 	sinkErr error
 
@@ -99,14 +94,9 @@ type Tracer struct {
 	nextWatch uint64
 }
 
-// New returns a Tracer whose ring buffer holds the last `capacity`
-// completed spans (capacity <= 0 selects a default of 4096). The tracer
-// starts disabled; call Enable.
-func New(capacity int) *Tracer {
-	if capacity <= 0 {
-		capacity = 4096
-	}
-	return &Tracer{cap: capacity, epoch: time.Now()}
+// New returns a Tracer. It starts disabled; call Enable.
+func New() *Tracer {
+	return &Tracer{epoch: time.Now()}
 }
 
 // Enable turns span recording on.
@@ -119,9 +109,8 @@ func (t *Tracer) Disable() { t.enabled.Store(false) }
 // Enabled reports whether the tracer records spans. Nil-safe.
 func (t *Tracer) Enabled() bool { return t != nil && t.enabled.Load() }
 
-// SetSink streams every completed span to w as one JSON object per line,
-// in addition to the ring buffer. The first write error stops the stream
-// and is reported by SinkErr.
+// SetSink streams every completed span to w as one JSON object per line.
+// The first write error stops the stream and is reported by SinkErr.
 func (t *Tracer) SetSink(w io.Writer) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -145,13 +134,12 @@ func (t *Tracer) Start(stage, unit string) Span {
 	return Span{t: t, stage: stage, unit: unit, g: goid(), start: time.Now()}
 }
 
-// record stores a completed span; called from Span.EndErr.
+// record numbers a completed span and emits it; called from Span.EndErr.
 func (t *Tracer) record(s Span, end time.Time, err error) {
 	if !t.enabled.Load() {
 		return
 	}
 	ev := SpanEvent{
-		ID:        t.nextID.Add(1),
 		Stage:     s.stage,
 		Unit:      s.unit,
 		Start:     s.start.Sub(t.epoch).Nanoseconds(),
@@ -162,13 +150,8 @@ func (t *Tracer) record(s Span, end time.Time, err error) {
 		ev.Err = err.Error()
 	}
 	t.mu.Lock()
-	if len(t.buf) < t.cap {
-		t.buf = append(t.buf, ev)
-	} else {
-		t.buf[t.next] = ev
-		t.next = (t.next + 1) % t.cap
-	}
-	t.total++
+	t.lastID++
+	ev.ID = t.lastID
 	if t.sink != nil && t.sinkErr == nil {
 		line, jerr := json.Marshal(ev)
 		if jerr != nil {
@@ -182,7 +165,7 @@ func (t *Tracer) record(s Span, end time.Time, err error) {
 }
 
 // Watch registers fn to be called with every span completed while the
-// watcher is installed, after the span lands in the ring buffer. The
+// watcher is installed, after the span reaches the sink. The
 // returned cancel func removes the watcher; it is safe to call more than
 // once. fn runs on the goroutine ending the span and must not block —
 // the service layer uses this to stream job progress over SSE, feeding a
@@ -204,7 +187,7 @@ func (t *Tracer) Watch(fn func(SpanEvent)) (cancel func()) {
 }
 
 // notifyWatchers fans a completed span out to the registered watchers,
-// outside the ring-buffer lock so a watcher may inspect the tracer.
+// outside the sink lock so a watcher may inspect the tracer.
 func (t *Tracer) notifyWatchers(ev SpanEvent) {
 	t.watchMu.Lock()
 	if len(t.watchers) == 0 {
@@ -219,30 +202,6 @@ func (t *Tracer) notifyWatchers(ev SpanEvent) {
 	for _, fn := range fns {
 		fn(ev)
 	}
-}
-
-// Events returns the buffered spans in completion order (oldest first).
-func (t *Tracer) Events() []SpanEvent {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]SpanEvent, 0, len(t.buf))
-	if t.total > uint64(t.cap) {
-		out = append(out, t.buf[t.next:]...)
-		out = append(out, t.buf[:t.next]...)
-	} else {
-		out = append(out, t.buf...)
-	}
-	return out
-}
-
-// Dropped returns how many spans were evicted from the ring buffer.
-func (t *Tracer) Dropped() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.total > uint64(t.cap) {
-		return t.total - uint64(t.cap)
-	}
-	return 0
 }
 
 // Span is an in-flight timed unit of pipeline work. The zero Span is

@@ -24,18 +24,25 @@ func withGlobals(tb testing.TB, tr *Tracer, m *Metrics) {
 	})
 }
 
+// watched collects the spans a tracer hands its watchers.
+func watched(tr *Tracer) *[]SpanEvent {
+	var evs []SpanEvent
+	tr.Watch(func(ev SpanEvent) { evs = append(evs, ev) })
+	return &evs
+}
+
 func TestTracerOrdering(t *testing.T) {
-	tr := New(64)
+	tr := New()
+	evs := watched(tr)
 	tr.Enable()
 	for i := 0; i < 10; i++ {
 		sp := tr.Start("stage", fmt.Sprintf("u%d", i))
 		sp.End()
 	}
-	evs := tr.Events()
-	if len(evs) != 10 {
-		t.Fatalf("got %d events, want 10", len(evs))
+	if len(*evs) != 10 {
+		t.Fatalf("got %d events, want 10", len(*evs))
 	}
-	for i, ev := range evs {
+	for i, ev := range *evs {
 		if ev.ID != uint64(i+1) {
 			t.Errorf("event %d: ID = %d, want %d (strictly increasing from 1)", i, ev.ID, i+1)
 		}
@@ -45,46 +52,18 @@ func TestTracerOrdering(t *testing.T) {
 		if ev.End < ev.Start {
 			t.Errorf("event %d: end %d before start %d", i, ev.End, ev.Start)
 		}
-		if i > 0 && ev.Start < evs[i-1].Start {
+		if i > 0 && ev.Start < (*evs)[i-1].Start {
 			t.Errorf("event %d: sequential spans must have non-decreasing starts", i)
 		}
 		if ev.Goroutine == 0 {
 			t.Errorf("event %d: goroutine ID not captured", i)
 		}
 	}
-	if tr.Dropped() != 0 {
-		t.Errorf("Dropped = %d, want 0", tr.Dropped())
-	}
-}
-
-func TestRingBufferWraparound(t *testing.T) {
-	tr := New(4)
-	tr.Enable()
-	for i := 0; i < 11; i++ {
-		tr.Start("s", fmt.Sprintf("u%d", i)).End()
-	}
-	evs := tr.Events()
-	if len(evs) != 4 {
-		t.Fatalf("got %d events, want capacity 4", len(evs))
-	}
-	// The last 4 completions survive, still in completion order.
-	for i, ev := range evs {
-		want := fmt.Sprintf("u%d", 7+i)
-		if ev.Unit != want {
-			t.Errorf("event %d: unit = %q, want %q", i, ev.Unit, want)
-		}
-		if ev.ID != uint64(8+i) {
-			t.Errorf("event %d: ID = %d, want %d", i, ev.ID, 8+i)
-		}
-	}
-	if got := tr.Dropped(); got != 7 {
-		t.Errorf("Dropped = %d, want 7", got)
-	}
 }
 
 func TestJSONLSink(t *testing.T) {
 	var buf bytes.Buffer
-	tr := New(8)
+	tr := New()
 	tr.SetSink(&buf)
 	tr.Enable()
 	tr.Start("gt1", "").End()
@@ -116,10 +95,11 @@ func TestJSONLSink(t *testing.T) {
 func TestDisabledTracerIsNoop(t *testing.T) {
 	var nilTracer *Tracer
 	nilTracer.Start("s", "").End() // must not panic
-	tr := New(8)                   // never enabled
+	tr := New()                    // never enabled
+	evs := watched(tr)
 	tr.Start("s", "").End()
-	if evs := tr.Events(); len(evs) != 0 {
-		t.Fatalf("disabled tracer recorded %d events", len(evs))
+	if len(*evs) != 0 {
+		t.Fatalf("disabled tracer recorded %d events", len(*evs))
 	}
 	withGlobals(t, nil, nil)
 	Start("s", "u").EndErr(errors.New("x")) // zero span, no-op
@@ -128,13 +108,14 @@ func TestDisabledTracerIsNoop(t *testing.T) {
 }
 
 func TestTracerDisableDropsInflight(t *testing.T) {
-	tr := New(8)
+	tr := New()
+	evs := watched(tr)
 	tr.Enable()
 	sp := tr.Start("s", "")
 	tr.Disable()
 	sp.End()
-	if evs := tr.Events(); len(evs) != 0 {
-		t.Fatalf("span ending after Disable was recorded: %d events", len(evs))
+	if len(*evs) != 0 {
+		t.Fatalf("span ending after Disable was recorded: %d events", len(*evs))
 	}
 }
 
@@ -257,7 +238,7 @@ func BenchmarkSpanDisabled(b *testing.B) {
 }
 
 func BenchmarkSpanTraced(b *testing.B) {
-	tr := New(4096)
+	tr := New()
 	tr.Enable()
 	withGlobals(b, tr, nil)
 	b.ReportAllocs()

@@ -109,7 +109,7 @@ func TestDedupConcurrentSubmissions(t *testing.T) {
 // events while a tracer is enabled), and the SSE replay of a finished job
 // terminates with the full stream.
 func TestEventsEndpoint(t *testing.T) {
-	tracer := obs.New(0)
+	tracer := obs.New()
 	tracer.Enable()
 	obs.SetTracer(tracer)
 	defer obs.SetTracer(nil)

@@ -55,7 +55,7 @@ func patchJob(t *testing.T, url, id string, body []byte) *http.Response {
 // result byte-identical to a cold pipeline run on the patched graph,
 // and reports the pipeline stage it finished in.
 func TestHTTPPatchEndToEnd(t *testing.T) {
-	tr := obs.New(256)
+	tr := obs.New()
 	tr.Enable()
 	obs.SetTracer(tr)
 	defer obs.SetTracer(nil)
