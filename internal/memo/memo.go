@@ -14,8 +14,8 @@
 // A problem is identified by the SHA-256 hash of the canonical form of its
 // hfmin.Spec (transitions sorted by the total order on (kind, start, end)
 // cube keys — see hfmin.Spec.Canonical) together with the covering mode's
-// number (logic.SolverBB, the only mode, kept in the key so no persisted
-// key moved when the greedy mode went), logic.SolverVersion and a
+// number (logic.SolverBB, the only mode; its number stays in the hashed
+// layout so persisted keys keep their bytes), logic.SolverVersion and a
 // package-version salt. Logically identical specs collide regardless of
 // construction order; bumping Salt or logic.SolverVersion when minimizer
 // or solver behaviour changes invalidates every previously persisted

@@ -502,7 +502,7 @@ func TestFinishedJobsEvicted(t *testing.T) {
 			}
 			url := srv.URL + "/v1/jobs/" + job.ID()
 			for _, req := range []struct{ method, url string }{
-				{"GET", url}, {"GET", url + "/result"}, {"GET", url + "/events"}, {"PATCH", url},
+				{"GET", url}, {"GET", url + "/result"}, {"GET", url + "/events"}, {"PATCH", url}, {"DELETE", url},
 			} {
 				r, err := http.NewRequest(req.method, req.url, strings.NewReader("{}"))
 				if err != nil {
