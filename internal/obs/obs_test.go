@@ -55,9 +55,6 @@ func TestTracerOrdering(t *testing.T) {
 		if i > 0 && ev.Start < (*evs)[i-1].Start {
 			t.Errorf("event %d: sequential spans must have non-decreasing starts", i)
 		}
-		if ev.Goroutine == 0 {
-			t.Errorf("event %d: goroutine ID not captured", i)
-		}
 	}
 }
 
@@ -237,14 +234,34 @@ func BenchmarkSpanDisabled(b *testing.B) {
 	}
 }
 
-func BenchmarkSpanTraced(b *testing.B) {
+// BenchmarkSpanEnabled times a traced span opened at stack depths 1 and
+// 64: what a span costs must not grow with the stack of the code that
+// opens it.
+func BenchmarkSpanEnabled(b *testing.B) {
 	tr := New()
 	tr.Enable()
 	withGlobals(b, tr, nil)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Start("stage", "unit").End()
+	for _, depth := range []int{1, 64} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			b.ReportAllocs()
+			atDepth(depth, func() {
+				for i := 0; i < b.N; i++ {
+					Start("stage", "unit").End()
+				}
+			})
+		})
 	}
+}
+
+// atDepth calls f with n frames of atDepth on the stack.
+//
+//go:noinline
+func atDepth(n int, f func()) {
+	if n <= 1 {
+		f()
+		return
+	}
+	atDepth(n-1, f)
 }
 
 func BenchmarkSpanMetricsOnly(b *testing.B) {
