@@ -172,6 +172,11 @@ func EncodeGraph(g *cdfg.Graph) ([]byte, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("codec: encode: %w", err)
 	}
+	return marshalIndent(graphDoc(g))
+}
+
+// graphDoc builds the document EncodeGraph renders.
+func graphDoc(g *cdfg.Graph) GraphDoc {
 	doc := GraphDoc{
 		Version: Version,
 		Kind:    KindGraph,
@@ -213,7 +218,7 @@ func EncodeGraph(g *cdfg.Graph) ([]byte, error) {
 			Branch: branchNames[a.Branch], Note: a.Note,
 		})
 	}
-	return marshalIndent(doc)
+	return doc
 }
 
 // DecodeGraph parses and validates an interchange document and
@@ -371,12 +376,13 @@ func DecodeGraph(data []byte) (*cdfg.Graph, error) {
 	return g, nil
 }
 
-// marshalIndent renders a document with a trailing newline, matching the
-// golden-fixture convention.
+// marshalIndent renders a document as json.MarshalIndent(v, "", "  ")
+// does, with a trailing newline, matching the golden-fixture convention.
 func marshalIndent(v interface{}) ([]byte, error) {
-	out, err := json.MarshalIndent(v, "", "  ")
+	compact, err := json.Marshal(v)
 	if err != nil {
 		return nil, fmt.Errorf("codec: marshal: %w", err)
 	}
+	out := appendIndent(make([]byte, 0, 2*len(compact)+1), compact)
 	return append(out, '\n'), nil
 }

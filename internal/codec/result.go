@@ -83,6 +83,11 @@ type CondDoc struct {
 // the same input are byte-identical ("bit-identical netlists" in the
 // service's smoke test).
 func EncodeSynthesis(s *core.Synthesis, results map[string]*synth.Result) ([]byte, error) {
+	return marshalIndent(synthesisDoc(s, results))
+}
+
+// synthesisDoc builds the document EncodeSynthesis renders.
+func synthesisDoc(s *core.Synthesis, results map[string]*synth.Result) SynthesisDoc {
 	doc := SynthesisDoc{
 		Version:          Version,
 		Kind:             KindSynthesis,
@@ -111,7 +116,7 @@ func EncodeSynthesis(s *core.Synthesis, results map[string]*synth.Result) ([]byt
 		}
 		doc.Controllers = append(doc.Controllers, cd)
 	}
-	return marshalIndent(doc)
+	return doc
 }
 
 // DecodeSynthesis parses a synthesis document (the client side of the
