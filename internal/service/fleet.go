@@ -52,6 +52,7 @@ type fleetProxy struct {
 	cfg   FleetConfig
 	ring  *fleet.Ring
 	local http.Handler
+	solo  bool // no node but Self is on the ring
 }
 
 // FleetHandler returns the node's HTTP API with fleet routing in front
@@ -63,6 +64,8 @@ type fleetProxy struct {
 //     Non-owned submissions are forwarded (retry with backoff); if the
 //     owner is unreachable the node degrades to local execution instead
 //     of failing the job, marking the peer down for the health loop.
+//     On a ring holding no node but Self, every key is owned here, and
+//     submissions are admitted without encoding and hashing the graph.
 //   - GET/PATCH/DELETE /v1/jobs/{id}[/...] honour the "@node" ID suffix:
 //     requests for a foreign job are proxied to the owning node, so any
 //     node can answer for any job (SSE event streams proxy flushed). A
@@ -78,6 +81,8 @@ func (m *Manager) FleetHandler(cfg FleetConfig) http.Handler {
 		cfg.Client = &http.Client{Timeout: 30 * time.Second}
 	}
 	p := &fleetProxy{m: m, cfg: cfg, ring: fleet.NewRing(cfg.Nodes, 0), local: m.Handler()}
+	nodes := p.ring.Nodes()
+	p.solo = len(nodes) == 0 || len(nodes) == 1 && nodes[0] == cfg.Self
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", p.submit)
 	mux.Handle("GET /v1/jobs/{id}", p.byJobID())
@@ -135,8 +140,12 @@ func (p *fleetProxy) submit(w http.ResponseWriter, r *http.Request) {
 	if r.Header.Get(ForwardHeader) != "" {
 		// Already routed by a peer: execute here, one hop only.
 		obs.Add("fleet/forwards_received", 1)
-		job, err := p.m.SubmitMode(sub.graph, sub.level, sub.mode)
-		writeSubmitOutcome(w, job, err)
+		p.admit(w, sub)
+		return
+	}
+	if p.solo {
+		obs.Add("fleet/local_submits", 1)
+		p.admit(w, sub)
 		return
 	}
 	key, canonical, err := ContentKey(sub.graph, sub.level, sub.mode)
@@ -147,8 +156,7 @@ func (p *fleetProxy) submit(w http.ResponseWriter, r *http.Request) {
 	owner := p.ring.OwnerAlive(key, p.alive)
 	if owner == "" || owner == p.cfg.Self {
 		obs.Add("fleet/local_submits", 1)
-		job, err := p.m.SubmitMode(sub.graph, sub.level, sub.mode)
-		writeSubmitOutcome(w, job, err)
+		p.admit(w, sub)
 		return
 	}
 	if p.forward(w, r, owner, canonical, sub) {
@@ -161,6 +169,11 @@ func (p *fleetProxy) submit(w http.ResponseWriter, r *http.Request) {
 		p.cfg.Peers.MarkDown(owner)
 	}
 	obs.Add("fleet/forward_fallbacks", 1)
+	p.admit(w, sub)
+}
+
+// admit runs a submission on this node's manager.
+func (p *fleetProxy) admit(w http.ResponseWriter, sub submission) {
 	job, err := p.m.SubmitMode(sub.graph, sub.level, sub.mode)
 	writeSubmitOutcome(w, job, err)
 }
