@@ -31,8 +31,8 @@
 //	                   line) covering every pipeline stage to the file
 //	-metrics           print the per-stage timing/counter table after the
 //	                   command completes
-//	-pprof addr        serve net/http/pprof on addr (e.g. localhost:6060)
-//	                   for CPU/heap/goroutine profiling while running
+//	-cpuprofile file   write a CPU profile of the command to the file
+//	                   (runtime/pprof; read it with go tool pprof)
 //
 // Hazard-free minimization — the dominant pipeline cost — is memoized
 // through a content-addressed cache (internal/memo), in memory by
@@ -55,10 +55,8 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net"
-	"net/http"
-	_ "net/http/pprof" // registers the /debug/pprof handlers for -pprof
 	"os"
+	"runtime/pprof"
 	"sort"
 	"strings"
 
@@ -82,7 +80,7 @@ var (
 	jWorkers    = flag.Int("j", 0, "parallel workers for synthesis and exploration (0 = all CPUs, 1 = sequential)")
 	traceOut    = flag.String("trace", "", "write structured span events (JSONL) to this file")
 	showMetrics = flag.Bool("metrics", false, "print the per-stage metrics table after the command")
-	pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+	cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the command to this file")
 	cacheDir    = flag.String("cache-dir", "", "persist hazard-free minimization results under this directory (warm runs skip re-solving)")
 	cacheMax    = flag.Int64("cache-max-bytes", 0, "cap the on-disk cache at this many bytes, evicting oldest entries first (0 = unbounded)")
 )
@@ -181,20 +179,13 @@ func usageErrorf(format string, args ...interface{}) error {
 	return usageError{msg: fmt.Sprintf(format, args...)}
 }
 
-// setupObs wires the -trace/-metrics/-pprof flags into the global obs
-// layer and returns the teardown to run after the command: it closes the
-// trace sink and prints the metrics table (also on command failure, so a
-// failed run still yields its partial profile).
+// setupObs wires the -trace/-metrics/-cpuprofile flags into the global
+// obs layer and the runtime profiler, and returns the teardown to run
+// after the command: it closes the trace sink, prints the metrics table
+// and writes out the CPU profile (also on command failure, so a failed
+// run still yields its partial profile).
 func setupObs() (func(), error) {
 	var cleanups []func()
-	if *pprofAddr != "" {
-		ln, err := net.Listen("tcp", *pprofAddr)
-		if err != nil {
-			return nil, fmt.Errorf("-pprof: %w", err)
-		}
-		fmt.Fprintf(os.Stderr, "pprof: serving on http://%s/debug/pprof/\n", ln.Addr())
-		go http.Serve(ln, nil) //nolint:errcheck // best-effort debug listener
-	}
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
@@ -219,6 +210,22 @@ func setupObs() (func(), error) {
 			fmt.Print(obs.Gather().Table())
 		})
 	}
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			return nil, fmt.Errorf("-cpuprofile: %w", err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("-cpuprofile: %w", err)
+		}
+		cleanups = append(cleanups, func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "asyncsynth: cpu profile close:", err)
+			}
+		})
+	}
 	return func() {
 		for _, f := range cleanups {
 			f()
@@ -237,8 +244,8 @@ flags:
                             pipeline stage to the file
   -metrics                  print the per-stage timing/counter table after
                             the command
-  -pprof addr               serve net/http/pprof on addr while running
-                            (e.g. localhost:6060)
+  -cpuprofile file          write a CPU profile of the command to file
+                            (read it with go tool pprof)
   -cache-dir dir            persist hazard-free minimization results in dir;
                             warm runs load them instead of re-solving
   -cache-max-bytes N        cap the on-disk cache at N bytes, evicting the
@@ -307,7 +314,8 @@ func buildBench(name string) (*cdfg.Graph, []string, map[string]float64, error) 
 		return nil, nil, nil, fmt.Errorf("unknown benchmark %q (have %s, or a path to an .adl file)",
 			name, strings.Join(bench.Names(), ", "))
 	}
-	return b.Build(), b.FUs, b.Want(), nil
+	g := b.Build()
+	return g, g.FUs, b.Want(), nil
 }
 
 func benchArg(args []string) string {

@@ -1,8 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"math"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"testing"
 )
 
@@ -44,5 +48,36 @@ func TestSearchParamsValidate(t *testing.T) {
 		if !errors.As(err, &ue) {
 			t.Errorf("case %d: error is not a usageError: %v", i, err)
 		}
+	}
+}
+
+// TestCPUProfileFlag builds the CLI and runs synthdoc gcd with and
+// without -cpuprofile: the flag must write a non-empty profile and leave
+// stdout byte-identical.
+func TestCPUProfileFlag(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and execs the binary")
+	}
+	dir := t.TempDir()
+	cli := filepath.Join(dir, "asyncsynth")
+	if out, err := exec.Command("go", "build", "-o", cli, "repro/cmd/asyncsynth").CombinedOutput(); err != nil {
+		t.Fatalf("building asyncsynth: %v\n%s", err, out)
+	}
+	want, err := exec.Command(cli, "-j", "1", "synthdoc", "gcd").Output()
+	if err != nil {
+		t.Fatalf("synthdoc: %v", err)
+	}
+	prof := filepath.Join(dir, "cpu.pprof")
+	got, err := exec.Command(cli, "-j", "1", "-cpuprofile", prof, "synthdoc", "gcd").Output()
+	if err != nil {
+		t.Fatalf("synthdoc -cpuprofile: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("-cpuprofile changed the command's stdout")
+	}
+	if st, err := os.Stat(prof); err != nil {
+		t.Errorf("-cpuprofile: %v", err)
+	} else if st.Size() == 0 {
+		t.Error("-cpuprofile wrote an empty profile")
 	}
 }
