@@ -131,9 +131,9 @@ func TestIncrementalBenchmarkEdits(t *testing.T) {
 			if st.LTMisses > base.LTMisses+1 || st.SynthMisses > base.SynthMisses+1 {
 				t.Errorf("edit invalidated more than one controller: %+v -> %+v", base, st)
 			}
-			if len(b.FUs) > 1 && st.SynthHits == base.SynthHits {
+			if len(g.FUs) > 1 && st.SynthHits == base.SynthHits {
 				t.Errorf("no controller served from cache on a %d-FU design: %+v -> %+v",
-					len(b.FUs), base, st)
+					len(g.FUs), base, st)
 			}
 		})
 	}

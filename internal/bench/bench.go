@@ -29,8 +29,6 @@ type Benchmark struct {
 	Name string
 	// Description is a one-line summary for listings.
 	Description string
-	// FUs lists the functional units in display order.
-	FUs []string
 	// Build constructs a fresh CDFG (callers own and may mutate it).
 	Build func() *cdfg.Graph
 	// Want maps register names to the values simulation must reproduce.
@@ -60,7 +58,6 @@ func table() map[string]*Benchmark {
 	add(&Benchmark{
 		Name:        "diffeq",
 		Description: "differential equation solver (the paper's case study, HAL benchmark)",
-		FUs:         diffeq.FUs,
 		Build:       func() *cdfg.Graph { return diffeq.Build(diffeq.DefaultParams()) },
 		Want: func() map[string]float64 {
 			ref := diffeq.Reference(diffeq.DefaultParams())
@@ -70,7 +67,6 @@ func table() map[string]*Benchmark {
 	add(&Benchmark{
 		Name:        "gcd",
 		Description: "greatest common divisor by repeated subtraction (IF blocks)",
-		FUs:         gcd.FUs,
 		Build:       func() *cdfg.Graph { return gcd.Build(123, 45) },
 		Want: func() map[string]float64 {
 			return map[string]float64{"a": gcd.Reference(123, 45)}
@@ -79,7 +75,6 @@ func table() map[string]*Benchmark {
 	add(&Benchmark{
 		Name:        "fir",
 		Description: "3-tap FIR filter over a ramp input (assignment-heavy)",
-		FUs:         fir.FUs,
 		Build:       func() *cdfg.Graph { return fir.Build(fir.DefaultParams()) },
 		Want: func() map[string]float64 {
 			ref := fir.Reference(fir.DefaultParams())
@@ -111,7 +106,6 @@ func adlBenchmark(name, desc, source string, wantRegs []string) *Benchmark {
 	return &Benchmark{
 		Name:        name,
 		Description: desc,
-		FUs:         build().FUs,
 		Build:       build,
 		Source:      "examples/" + source,
 		Want: func() map[string]float64 {

@@ -22,7 +22,7 @@ func TestRegistry(t *testing.T) {
 		if b.Name != want[i] {
 			t.Errorf("All()[%d] = %s, want %s", i, b.Name, want[i])
 		}
-		if b.Description == "" || len(b.FUs) == 0 {
+		if b.Description == "" || len(b.Build().FUs) == 0 {
 			t.Errorf("%s: missing description or FUs", b.Name)
 		}
 		got, ok := Lookup(b.Name)
