@@ -20,7 +20,9 @@ fi
 echo "== checkdoc (package docs + frontend/gen exported-identifier docs)"
 go run ./scripts/checkdoc
 echo "== synthesis bytes vs parent (golden synthesis documents of every"
-echo "   registry design, written by an earlier version; the mask"
+echo "   registry design, written by an earlier version; the document"
+echo "   indenter against json.Indent on a random corpus, and the encoders"
+echo "   against json.MarshalIndent on the registry and gen seeds; the mask"
 echo "   enumerators checked in order against the map-based reference,"
 echo "   Maximal and its containment index against brute force, the"
 echo "   dhf-prime list in order against the unpruned recursion on"
@@ -29,7 +31,7 @@ echo "   the FIR search spec's pinned cover, the feasibility check against"
 echo "   full minimization, the strict rungs' pinned outcomes, netlists"
 echo "   against the concretizing renderer, and the hypercube encoder on"
 echo "   odd and even cycles)"
-go test -run '^TestGoldenSynthesis$' -count=1 ./internal/codec
+go test -run '^Test(GoldenSynthesis|IndentMatchesStdlib|EncodersMatchMarshalIndent)$' -count=1 ./internal/codec
 go test -run '^Test(MinimalHittingSets|ExpansionsMatchReference|ExpansionsTruncatedPrefix|PrimesContainingMatchesReference|MaximalMatchesBruteForce|MaximalFullArity|CubeIndexMatchesScan)$' -count=1 ./internal/logic
 go test -run '^Test(DHFPrimesMatchReference|DHFPrimesMatchLenientRungs|FIRBaselineSpecCover|FeasibleMatchesMinimize|StrictRungOutcomes|VerilogMatchesConcretizedRenderer|HypercubeEncodeOddCycles)$' -count=1 ./internal/hfmin ./internal/synth
 echo "== go test -race"
