@@ -12,7 +12,7 @@
 // search over transform plans, whose seeds-only run is the design-space
 // sweep of the paper's "scripts"), par (the bounded worker pool every
 // fan-out runs on) and obs (structured tracing and per-stage metrics —
-// the cmd/asyncsynth -trace/-metrics/-pprof flags).
+// the cmd/asyncsynth -trace/-metrics flags).
 //
 // The root-level benchmarks (bench_test.go) regenerate every table and
 // figure of the paper's evaluation; see EXPERIMENTS.md for the comparison
