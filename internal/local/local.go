@@ -523,12 +523,18 @@ func ShareSignals(m *bm.Machine, rep *Report) {
 		}
 		groups[sig[out]] = append(groups[sig[out]], out)
 	}
-	replace := map[string]string{}
+	// Merge the groups in the order of their kept wires, so the report
+	// lists its moves in one order on every run.
+	var shared [][]string
 	for _, g := range groups {
-		if len(g) < 2 {
-			continue
+		if len(g) >= 2 {
+			sort.Strings(g)
+			shared = append(shared, g)
 		}
-		sort.Strings(g)
+	}
+	sort.Slice(shared, func(i, j int) bool { return shared[i][0] < shared[j][0] })
+	replace := map[string]string{}
+	for _, g := range shared {
 		keep := g[0]
 		for _, other := range g[1:] {
 			replace[other] = keep

@@ -120,6 +120,54 @@ func TestShareSignals(t *testing.T) {
 	}
 }
 
+// TestShareSignalsFixedOrder requires one Moves list from every run of
+// LT5 on a machine with three share groups: the groups sit in a map, and
+// the lt stage payload stores the moves under a key that does not see
+// their order.
+func TestShareSignalsFixedOrder(t *testing.T) {
+	m := bm.NewMachine("groups")
+	m.AddInput("a")
+	m.AddInput("b")
+	m.AddInput("c")
+	for _, out := range []string{"p1", "p2", "q1", "q2", "q3", "r1", "r2"} {
+		m.AddOutput(out)
+	}
+	s0, s1, s2, s3 := m.NewState(""), m.NewState(""), m.NewState(""), m.NewState("")
+	m.Init = s0
+	burst := func(e bm.Edge, sigs ...string) []bm.Event {
+		var out []bm.Event
+		for _, s := range sigs {
+			out = append(out, bm.Event{Signal: s, Edge: e})
+		}
+		return out
+	}
+	m.AddTransition(&bm.Transition{From: s0, To: s1, In: burst(bm.Rise, "a"), Out: burst(bm.Rise, "p1", "p2")})
+	m.AddTransition(&bm.Transition{From: s1, To: s2, In: burst(bm.Rise, "b"), Out: burst(bm.Rise, "q1", "q2", "q3")})
+	m.AddTransition(&bm.Transition{From: s2, To: s3, In: burst(bm.Rise, "c"), Out: burst(bm.Rise, "r1", "r2")})
+	m.AddTransition(&bm.Transition{From: s3, To: s0, In: burst(bm.Fall, "a", "b", "c"),
+		Out: burst(bm.Fall, "p1", "p2", "q1", "q2", "q3", "r1", "r2")})
+
+	var want []string
+	for i := 0; i < 50; i++ {
+		mm := m.Clone()
+		rep := &Report{Machine: mm.Name, SharedWires: map[string][]string{}}
+		ShareSignals(mm, rep)
+		if len(mm.Outputs) != 3 {
+			t.Fatalf("outputs = %v, want one wire per share group", mm.Outputs)
+		}
+		if i == 0 {
+			want = rep.Moves
+			continue
+		}
+		if strings.Join(rep.Moves, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("run %d moves:\n%s\nwant:\n%s", i, strings.Join(rep.Moves, "\n"), strings.Join(want, "\n"))
+		}
+	}
+	if len(want) != 4 {
+		t.Fatalf("moves = %q, want one per folded wire", want)
+	}
+}
+
 func TestShareSignalsKeepsWiresDistinct(t *testing.T) {
 	m := bm.NewMachine("wires")
 	m.AddInput("a")
