@@ -17,10 +17,22 @@ import (
 // The GT and extract stages hold live graph/plan pointers and stay
 // memory-only (nil codec).
 
-// ltResult is the per-controller local-transform stage output.
+// ltResult is the per-controller local-transform stage output: the
+// machine, its report and the machine's canonical bytes, which key the
+// synth stage after it.
 type ltResult struct {
 	M      *bm.Machine
 	Report *local.Report
+	mb     []byte
+}
+
+// newLTResult pairs m and rep with m's canonical bytes.
+func newLTResult(m *bm.Machine, rep *local.Report) (*ltResult, error) {
+	mb, err := bm.EncodeMachine(m)
+	if err != nil {
+		return nil, err
+	}
+	return &ltResult{M: m, Report: rep, mb: mb}, nil
 }
 
 // ltDoc is ltResult's serialized form. The machine is embedded as its
@@ -41,12 +53,8 @@ func (ltCodec) Encode(v any) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	mb, err := bm.EncodeMachine(lt.M)
-	if err != nil {
-		return nil, false
-	}
 	doc := ltDoc{
-		Machine:     mb,
+		Machine:     lt.mb,
 		Name:        lt.Report.Machine,
 		Moves:       lt.Report.Moves,
 		Assumptions: lt.Report.Assumptions,
@@ -81,7 +89,14 @@ func (ltCodec) Decode(data []byte) (any, bool) {
 	if rep.SharedWires == nil {
 		rep.SharedWires = map[string][]string{}
 	}
-	return &ltResult{M: m, Report: rep}, true
+	// The machine is encoded again rather than keyed by the payload's
+	// bytes, which an older or foreign writer may have laid out
+	// differently.
+	lt, err := newLTResult(m, rep)
+	if err != nil {
+		return nil, false
+	}
+	return lt, true
 }
 
 // synthCodec serializes *synth.Result for the disk/remote tiers.

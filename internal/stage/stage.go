@@ -45,6 +45,7 @@ package stage
 
 import (
 	"context"
+	"crypto/sha256"
 	"sort"
 	"sync/atomic"
 
@@ -133,13 +134,25 @@ func (e *Engine) count(name string, src memo.Source, hits, misses *atomic.Int64)
 }
 
 // gtResult is the memory-only global-transform stage output: the
-// transformed graph clone, its channel plan and reports, and the
-// extraction options the next stage must use.
+// transformed graph clone, its channel plan and reports, the extraction
+// options the next stage must use, and that stage's key. Like every
+// stage value it is immutable after its fill, so the key, a hash of the
+// transformed graph, the plan's description and the options, is made
+// there once rather than on every run.
 type gtResult struct {
 	g       *cdfg.Graph
 	plan    *transform.Plan
 	reports []*transform.Report
 	exOpt   extract.Options
+	exKey   [sha256.Size]byte
+}
+
+// exResult is the memory-only extraction stage output: the extracted
+// controllers and each one's canonical bytes (bm.EncodeMachine), the
+// key material of its lt or synth stage.
+type exResult struct {
+	*extract.Result
+	mb map[string][]byte
 }
 
 // fuResult is one controller's pipeline tail: its (possibly LT'd)
@@ -173,7 +186,13 @@ func (e *Engine) Run(ctx context.Context, g *cdfg.Graph, opt core.Options) (_ *c
 		if gerr != nil {
 			return nil, gerr
 		}
-		return &gtResult{g: gg, plan: plan, reports: reports, exOpt: exOpt}, nil
+		// Stage 2's key: the transformed graph and the channel plan it
+		// feeds on.
+		exKey := stageKey("extract",
+			hashGraph(gg),
+			[]byte(plan.Describe()),
+			u64bytes(boolU64(exOpt.SeparateWaits)))
+		return &gtResult{g: gg, plan: plan, reports: reports, exOpt: exOpt, exKey: exKey}, nil
 	})
 	if err != nil {
 		return nil, nil, err
@@ -184,19 +203,25 @@ func (e *Engine) Run(ctx context.Context, g *cdfg.Graph, opt core.Options) (_ *c
 		return nil, nil, err
 	}
 
-	// Stage 2: extraction, keyed by the transformed graph and the channel
-	// plan it feeds on. Memory-only likewise.
-	exKey := stageKey("extract",
-		hashGraph(gt.g),
-		[]byte(gt.plan.Describe()),
-		u64bytes(boolU64(gt.exOpt.SeparateWaits)))
-	v, src, err = e.store.Do(ctx, exKey, nil, func(context.Context) (any, error) {
-		return core.ExtractPhase(gt.g, gt.plan, gt.exOpt)
+	// Stage 2: extraction. Memory-only likewise; its fill encodes each
+	// controller once for the keys of the stages after it.
+	v, src, err = e.store.Do(ctx, gt.exKey, nil, func(context.Context) (any, error) {
+		ex, xerr := core.ExtractPhase(gt.g, gt.plan, gt.exOpt)
+		if xerr != nil {
+			return nil, xerr
+		}
+		mb := make(map[string][]byte, len(ex.Machines))
+		for fu, m := range ex.Machines {
+			if mb[fu], xerr = bm.EncodeMachine(m); xerr != nil {
+				return nil, xerr
+			}
+		}
+		return &exResult{Result: ex, mb: mb}, nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	ex := v.(*extract.Result)
+	ex := v.(*exResult)
 	e.count("extract", src, &e.exHits, &e.exMisses)
 
 	s := &core.Synthesis{
@@ -224,7 +249,7 @@ func (e *Engine) Run(ctx context.Context, g *cdfg.Graph, opt core.Options) (_ *c
 	// like core's LT/synth loops, each controller flowing through its LT
 	// lookup straight into its synth lookup without a barrier.
 	outs, err := par.NamedMapCtx(ctx, "stage", opt.Parallelism, fus, func(ctx context.Context, _ int, fu string) (*fuResult, error) {
-		return e.runFU(ctx, fu, ex.Machines[fu], opt)
+		return e.runFU(ctx, fu, ex.Machines[fu], ex.mb[fu], opt)
 	})
 	if err != nil {
 		return nil, nil, err
@@ -242,11 +267,9 @@ func (e *Engine) Run(ctx context.Context, g *cdfg.Graph, opt core.Options) (_ *c
 }
 
 // runFU runs one controller's LT and synthesis stages through the cache.
-func (e *Engine) runFU(ctx context.Context, fu string, m *bm.Machine, opt core.Options) (*fuResult, error) {
-	mb, err := bm.EncodeMachine(m)
-	if err != nil {
-		return nil, err
-	}
+// mb is m's canonical bytes; the lt stage value carries its output's, so
+// a run whose stages all hit encodes no machine.
+func (e *Engine) runFU(ctx context.Context, fu string, m *bm.Machine, mb []byte, opt core.Options) (*fuResult, error) {
 	out := &fuResult{m: m}
 	if opt.Level == core.OptimizedGTLT {
 		cfg := core.LTConfigFor(opt, fu)
@@ -257,17 +280,14 @@ func (e *Engine) runFU(ctx context.Context, fu string, m *bm.Machine, opt core.O
 			if perr != nil {
 				return nil, perr
 			}
-			return &ltResult{M: mm, Report: rep}, nil
+			return newLTResult(mm, rep)
 		})
 		if lerr != nil {
 			return nil, lerr
 		}
 		lt := v.(*ltResult)
 		e.count("lt", src, &e.ltHits, &e.ltMisses)
-		out.m, out.rep = lt.M, lt.Report
-		if mb, err = bm.EncodeMachine(out.m); err != nil {
-			return nil, err
-		}
+		out.m, out.rep, mb = lt.M, lt.Report, lt.mb
 	}
 	rung := core.RungFor(opt.Encodings, fu)
 	synthKey := stageKey("synth",

@@ -96,38 +96,45 @@ func TestEngineMatchesCore(t *testing.T) {
 }
 
 // TestEngineDiskTier asserts that a fresh engine over the same store
-// directory replays the per-controller stages from disk, byte-identical.
+// directory replays every registry design's per-controller stages from
+// disk, byte-identical to core. A decoded lt payload whose value lost
+// its machine's bytes would miss every synth key here.
 func TestEngineDiskTier(t *testing.T) {
-	dir := t.TempDir()
-	opt := testOptions(t)
-	g := diffeq.Build(diffeq.DefaultParams())
-	want := coreBytes(t, g.Clone(), opt)
+	for _, b := range bench.All() {
+		b := b
+		t.Run(b.Name, func(t *testing.T) {
+			dir := t.TempDir()
+			opt := testOptions(t)
+			g := b.Build()
+			want := coreBytes(t, g.Clone(), opt)
 
-	store, err := memo.NewStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := New(store)
-	if got := engineBytes(t, e, g, opt); !bytes.Equal(got, want) {
-		t.Fatal("cold engine run differs from core pipeline")
-	}
+			store, err := memo.NewStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := New(store)
+			if got := engineBytes(t, e, g, opt); !bytes.Equal(got, want) {
+				t.Fatal("cold engine run differs from core pipeline")
+			}
 
-	store2, err := memo.NewStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2 := New(store2)
-	if got := engineBytes(t, e2, g, opt); !bytes.Equal(got, want) {
-		t.Fatal("disk-tier engine run differs from core pipeline")
-	}
-	st := e2.Stats()
-	// GT and extract stay memory-only, so they recompute; every LT and
-	// synth stage must come from disk.
-	if st.LTMisses != 0 || st.SynthMisses != 0 {
-		t.Fatalf("disk-tier run recomputed controllers: %+v", st)
-	}
-	if ds := store2.Stats(); ds.DiskHits == 0 {
-		t.Fatalf("disk-tier run recorded no disk hits: %+v", ds)
+			store2, err := memo.NewStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e2 := New(store2)
+			if got := engineBytes(t, e2, g, opt); !bytes.Equal(got, want) {
+				t.Fatal("disk-tier engine run differs from core pipeline")
+			}
+			st := e2.Stats()
+			// GT and extract stay memory-only, so they recompute; every LT
+			// and synth stage must come from disk.
+			if st.LTMisses != 0 || st.SynthMisses != 0 {
+				t.Fatalf("disk-tier run recomputed controllers: %+v", st)
+			}
+			if ds := store2.Stats(); ds.DiskHits == 0 {
+				t.Fatalf("disk-tier run recorded no disk hits: %+v", ds)
+			}
+		})
 	}
 }
 

@@ -19,7 +19,21 @@ var verilogIdent = strings.NewReplacer("-", "_", "+", "p", "*", "m", "<", "lt", 
 // assignments. Signal names are sanitized to Verilog identifiers.
 // The signal lists and the initial state come from m directly (see
 // signals and initState).
+//
+// res must have been synthesized from m. The first call renders the
+// netlist and res keeps it, so later calls, concurrent ones included,
+// return that string without rendering. The pairing makes this safe for
+// results the stage engine shares: their synth key holds m's canonical
+// bytes, and the netlist reads only m's name and signal lists. The memo
+// sits on the result, not on the machine, because the local transforms
+// rewrite machines in place.
 func Verilog(m *bm.Machine, res *Result) string {
+	res.netlist.once.Do(func() { res.netlist.text = render(m, res) })
+	return res.netlist.text
+}
+
+// render is Verilog without the memo.
+func render(m *bm.Machine, res *Result) string {
 	inputs, outputs := signals(m)
 	vars := variables(inputs, outputs, res.StateBits, res.OutputFeedback)
 	san := verilogIdent.Replace

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/bm"
 	"repro/internal/gen"
@@ -136,4 +138,59 @@ func TestVerilogMatchesConcretizedRenderer(t *testing.T) {
 			t.Errorf("no %s netlist compared", k)
 		}
 	}
+}
+
+// TestVerilogRendersOnce requires, for every registry controller, that
+// a second Verilog call on one result allocates nothing, that the kept
+// netlist equals the render of a fresh copy of the result
+// (DecodeResult(EncodeResult(r))), and that eight goroutines making the
+// first call on a result at once all get the one string it keeps.
+func TestVerilogRendersOnce(t *testing.T) {
+	for _, c := range registryControllers(t) {
+		res, err := synth.SynthesizeRung(context.Background(), c.m, 1, nil, logic.SolverBB, -1)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		first := synth.Verilog(c.m, res)
+		if n := testing.AllocsPerRun(10, func() { synth.Verilog(c.m, res) }); n != 0 {
+			t.Errorf("%s: a second Verilog call allocates %.0f objects", c.name, n)
+		}
+		if got := synth.Verilog(c.m, fresh(t, res)); got != first {
+			t.Errorf("%s: kept netlist differs from a fresh render:\n got %s\nwant %s", c.name, first, got)
+		}
+
+		shared := fresh(t, res)
+		start := make(chan struct{})
+		got := make([]string, 8)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				got[i] = synth.Verilog(c.m, shared)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for i, s := range got {
+			if s != first || unsafe.StringData(s) != unsafe.StringData(got[0]) {
+				t.Errorf("%s: goroutine %d got a netlist of its own", c.name, i)
+			}
+		}
+	}
+}
+
+// fresh returns a copy of r that has rendered nothing.
+func fresh(t *testing.T, r *synth.Result) *synth.Result {
+	t.Helper()
+	data, err := synth.EncodeResult(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := synth.DecodeResult(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/bm"
 	"repro/internal/hfmin"
@@ -46,6 +47,14 @@ type Result struct {
 	// OutputFeedback reports whether outputs were fed back as state
 	// variables (MINIMALIST-style) in this implementation.
 	OutputFeedback bool
+
+	// netlist is Verilog's rendering of this result, made on its first
+	// call. It is not part of the serialized form, so a decoded result
+	// renders again on first use.
+	netlist struct {
+		once sync.Once
+		text string
+	}
 }
 
 // Minimizer abstracts the exact hazard-free minimization entry point so a
