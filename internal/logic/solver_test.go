@@ -239,8 +239,7 @@ func worstCoverFixture(tb testing.TB) *CoveringProblem {
 // BenchmarkCoveringWorstCase times branch-and-bound and its greedy seed
 // on the captured GCD worst covering matrix (44 rows × 133 columns) — the
 // instance behind the slowest hfmin output of the three paper benchmarks.
-// scripts/verify.sh runs it as a smoke step; BENCH_covering.json keeps
-// the trajectory of earlier versions.
+// scripts/verify.sh runs it as a smoke step.
 func BenchmarkCoveringWorstCase(b *testing.B) {
 	p := worstCoverFixture(b)
 	for _, leg := range []struct {

@@ -20,8 +20,7 @@
 //
 // The tool exists to keep the covering numbers honest: a covering solver
 // change re-runs it to measure the per-benchmark worst-output solve time
-// (see EXPERIMENTS.md; BENCH_covering.json keeps the trajectory of earlier
-// versions).
+// (see EXPERIMENTS.md).
 package main
 
 import (

@@ -9,8 +9,8 @@
 //     with at most one controller recomputed.
 //
 // It prints a one-line JSON record with the cold and warm wall times and
-// the stage counters. BENCH_incremental.json keeps the records of earlier
-// versions; perfbench's serve-edit workload measures warm edits now.
+// the stage counters; perfbench's serve-edit workload measures warm
+// edits.
 //
 // Usage:
 //

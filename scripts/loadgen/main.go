@@ -12,8 +12,7 @@
 // The exit status is the verdict: 0 when every job was accounted for and
 // every served document matched its direct single-process run, 1
 // otherwise. scripts/verify.sh runs a small configuration of this as a
-// pass/fail step. BENCH_service.json keeps the latency percentiles of
-// earlier versions; perfbench measures the served paths now.
+// pass/fail step; perfbench measures the served paths.
 package main
 
 import (
