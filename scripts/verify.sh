@@ -29,11 +29,13 @@ echo "   dhf-prime list in order against the unpruned recursion on"
 echo "   random specs, fixtures, the registry and the lenient rungs' specs,"
 echo "   the FIR search spec's pinned cover, the feasibility check against"
 echo "   full minimization, the strict rungs' pinned outcomes, netlists"
-echo "   against the concretizing renderer, and the hypercube encoder on"
-echo "   odd and even cycles)"
+echo "   against the concretizing renderer and rendered once per result,"
+echo "   the hypercube encoder on odd and even cycles, the stage store's"
+echo "   records by name and hash, the warm served pass's allocation"
+echo "   ceiling, and LT5's merge order)"
 go test -run '^Test(GoldenSynthesis|IndentMatchesStdlib|EncodersMatchMarshalIndent)$' -count=1 ./internal/codec
 go test -run '^Test(MinimalHittingSets|ExpansionsMatchReference|ExpansionsTruncatedPrefix|PrimesContainingMatchesReference|MaximalMatchesBruteForce|MaximalFullArity|CubeIndexMatchesScan)$' -count=1 ./internal/logic
-go test -run '^Test(DHFPrimesMatchReference|DHFPrimesMatchLenientRungs|FIRBaselineSpecCover|FeasibleMatchesMinimize|StrictRungOutcomes|VerilogMatchesConcretizedRenderer|HypercubeEncodeOddCycles)$' -count=1 ./internal/hfmin ./internal/synth
+go test -run '^Test(DHFPrimesMatchReference|DHFPrimesMatchLenientRungs|FIRBaselineSpecCover|FeasibleMatchesMinimize|StrictRungOutcomes|VerilogMatchesConcretizedRenderer|VerilogRendersOnce|HypercubeEncodeOddCycles|StoreRecordsPinned|WarmServedAllocs|ShareSignalsFixedOrder)$' -count=1 ./internal/hfmin ./internal/synth ./internal/stage ./internal/local
 echo "== go test -race"
 # 20m: the default 10m per-package budget is too tight for
 # internal/search under the race detector once the loadtest package's
