@@ -1,7 +1,11 @@
 package hfmin
 
 import (
+	"flag"
+	"fmt"
 	"os"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -95,4 +99,54 @@ func BenchmarkMinimizeWorstCase(b *testing.B) {
 			b.ReportMetric(float64(res.Literals()), "literals")
 		})
 	}
+}
+
+var update = flag.Bool("update", false, "rewrite "+firCoverFixture)
+
+// firCoverFixture is the FIR baseline spec's covering matrix, kept with
+// internal/logic's covering fixtures so its solver tests can pin the
+// search on it.
+const firCoverFixture = "../logic/testdata/fir_baseline_cover.json"
+
+// TestFIRBaselineCoverMatrix requires the covering matrix Covering derives
+// from the FIR baseline spec (rows, columns and costs) to equal
+// firCoverFixture. Regenerate with -args -update only for an intended
+// change of the dhf-primes or the cost weights.
+func TestFIRBaselineCoverMatrix(t *testing.T) {
+	_, prob, err := Covering(firBaselineSpecFixture(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "{\"comment\": %q,\n \"num_cols\": %d,\n \"rows\": [\n",
+		"covering matrix of the FIR baseline spec (internal/hfmin/testdata/fir_baseline_spec.json)", prob.NumCols)
+	for i, row := range prob.Rows {
+		sep := ","
+		if i == len(prob.Rows)-1 {
+			sep = ""
+		}
+		fmt.Fprintf(&b, "  %s%s\n", intList(row), sep)
+	}
+	fmt.Fprintf(&b, " ],\n \"cost\": %s}\n", intList(prob.Cost))
+	if *update {
+		if err := os.WriteFile(firCoverFixture, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(firCoverFixture)
+	if err != nil {
+		t.Fatalf("fixture: %v (run with -args -update to regenerate)", err)
+	}
+	if b.String() != string(want) {
+		t.Errorf("Covering's matrix of the FIR baseline spec differs from %s", firCoverFixture)
+	}
+}
+
+// intList renders ints as a JSON array on one line.
+func intList(xs []int) string {
+	parts := make([]string, len(xs))
+	for i, x := range xs {
+		parts[i] = strconv.Itoa(x)
+	}
+	return "[" + strings.Join(parts, ",") + "]"
 }
