@@ -101,7 +101,7 @@ func TestPrimesContaining(t *testing.T) {
 
 func TestMinimalHittingSets(t *testing.T) {
 	rows := []uint64{0b011, 0b110} // {0,1}, {1,2}
-	hs := minimalHittingSets(rows, 100)
+	hs, _ := minimalHittingSets(rows, 100)
 	// Minimal hitting sets: {1}, {0,2}.
 	if len(hs) != 2 {
 		t.Fatalf("got %d hitting sets: %b", len(hs), hs)

@@ -1,0 +1,119 @@
+package repro_test
+
+import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/bench"
+	"repro/internal/core"
+	"repro/internal/logic"
+	"repro/internal/memo"
+	"repro/internal/obs"
+	"repro/internal/search"
+)
+
+var updateCounters = flag.Bool("update", false, "rewrite testdata/work_counters.txt")
+
+// workCounters are the exact structural counts TestWorkCountersPinned
+// pins: how much enumeration the minimizer, the covering search and GT5's
+// merge search do, independent of wall time.
+var workCounters = []string{
+	"hfmin/minimizations",
+	"logic/hs-candidates",
+	"hfmin/shrinks-emitted",
+	"hfmin/dhf-primes",
+	"solver/bb/steps",
+	"solver/bb/cutoffs",
+	"gt5/states",
+	"gt5/graph-clones",
+}
+
+// countWork runs fn with a fresh metrics registry installed and appends
+// one "label counter value" line per work counter to b.
+func countWork(t *testing.T, b *strings.Builder, label string, fn func() error) {
+	t.Helper()
+	m := obs.NewMetrics()
+	obs.SetMetrics(m)
+	err := fn()
+	obs.SetMetrics(nil)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	for _, name := range workCounters {
+		fmt.Fprintf(b, "%s %s %d\n", label, name, m.Counter(name))
+	}
+}
+
+// TestWorkCountersPinned pins exact work counts against
+// testdata/work_counters.txt: for every registry design a cold -j 1
+// synthesis (core.Run and SynthesizeLogic through a fresh in-memory
+// memo store, as asyncsynth -j 1 synthdoc runs it), and for diffeq and
+// fir the search profile of asyncsynth -j 1 search -waves 1 -budget 12.
+// A rewrite that claims to do less work shows it here as counts that
+// fall, with no timing noise. A count may fall in a change that
+// regenerates the file (-args -update); a rise needs a stated reason.
+func TestWorkCountersPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("synthesis-backed search is slow")
+	}
+	prev := obs.Gather()
+	defer obs.SetMetrics(prev)
+
+	var got strings.Builder
+	for _, b := range bench.All() {
+		countWork(t, &got, "cold/"+b.Name, func() error {
+			opt := core.DefaultOptions()
+			opt.Parallelism = 1
+			store, _ := memo.NewStore("") // in memory: never errors
+			opt.Minimizer = memo.OnStore(store)
+			s, err := core.Run(b.Build(), opt)
+			if err != nil {
+				return err
+			}
+			_, err = s.SynthesizeLogic()
+			return err
+		})
+	}
+	for _, name := range []string{"diffeq", "fir"} {
+		b, ok := bench.Lookup(name)
+		if !ok {
+			t.Fatalf("unknown benchmark %s", name)
+		}
+		countWork(t, &got, "search/"+name, func() error {
+			store, _ := memo.NewStore("")
+			_, err := search.Run(b.Build(), search.Options{
+				Workers:    1,
+				Beam:       3,
+				Waves:      1,
+				Budget:     12,
+				MaxBranch:  4,
+				Weights:    search.Weights{Time: 1, Area: 1},
+				Synthesize: true,
+				Minimizer:  memo.OnStore(store),
+				Solver:     logic.SolverBB,
+			})
+			return err
+		})
+	}
+
+	golden := filepath.Join("testdata", "work_counters.txt")
+	if *updateCounters {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("golden: %v (run with -args -update to regenerate)", err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("work counters differ from %s:\n got:\n%s\nwant:\n%s", golden, got.String(), want)
+	}
+}
