@@ -45,6 +45,10 @@ func (g *Graph) BlockDesc(b int) string {
 // callers that map nodes back to source constructs — the text frontend in
 // particular — can report which loop or conditional a failure sits in.
 func (g *Graph) Validate() error {
+	// One pass over the arcs also records, per destination node, whether
+	// it has in-arcs and how many of them are repeat and enter arcs, so the
+	// node and loop checks below never scan the arcs again.
+	in := make(map[NodeID]inArcs, len(g.nodes))
 	for _, a := range g.Arcs() {
 		from, to := g.Node(a.From), g.Node(a.To)
 		if from == nil || to == nil {
@@ -53,6 +57,15 @@ func (g *Graph) Validate() error {
 		if err := g.checkBlockCrossing(a, from, to); err != nil {
 			return err
 		}
+		e := in[a.To]
+		e.any = true
+		switch a.Group {
+		case GroupRepeat:
+			e.repeat++
+		case GroupEnter:
+			e.enter++
+		}
+		in[a.To] = e
 	}
 	for _, n := range g.Nodes() {
 		switch n.Kind {
@@ -68,31 +81,28 @@ func (g *Graph) Validate() error {
 				return fmt.Errorf("cdfg: node %d (%s) in %s has no condition register", n.ID, n.Kind, g.BlockDesc(n.Block))
 			}
 		}
-		if n.Kind != KindStart && len(g.In(n.ID)) == 0 {
+		if n.Kind != KindStart && !in[n.ID].any {
 			return fmt.Errorf("cdfg: node %d (%s) in %s has no incoming arcs", n.ID, n.Label(), g.BlockDesc(n.Block))
 		}
 	}
 	for _, b := range g.Blocks {
 		if b.Kind == BlockLoop {
-			repeat := 0
-			enter := 0
-			for _, a := range g.In(b.Root) {
-				switch a.Group {
-				case GroupRepeat:
-					repeat++
-				case GroupEnter:
-					enter++
-				}
+			e := in[b.Root]
+			if e.repeat != 1 {
+				return fmt.Errorf("cdfg: %s has %d repeat arcs, want 1", g.BlockDesc(b.ID), e.repeat)
 			}
-			if repeat != 1 {
-				return fmt.Errorf("cdfg: %s has %d repeat arcs, want 1", g.BlockDesc(b.ID), repeat)
-			}
-			if enter == 0 {
+			if e.enter == 0 {
 				return fmt.Errorf("cdfg: %s has no enter arcs", g.BlockDesc(b.ID))
 			}
 		}
 	}
 	return nil
+}
+
+// inArcs summarizes a node's in-arcs for Validate.
+type inArcs struct {
+	any           bool
+	repeat, enter int
 }
 
 // checkBlockCrossing enforces the block-structure rule: an arc between
