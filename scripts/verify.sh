@@ -32,10 +32,12 @@ echo "   full minimization, the strict rungs' pinned outcomes, netlists"
 echo "   against the concretizing renderer and rendered once per result,"
 echo "   the hypercube encoder on odd and even cycles, the stage store's"
 echo "   records by name and hash, the warm served pass's allocation"
-echo "   ceiling, and LT5's merge order)"
+echo "   ceiling, LT5's merge order, the search profile's records and"
+echo "   report, Solve's pinned covers, steps and cutoffs, and the exact"
+echo "   work counters of the registry and the search profile)"
 go test -run '^Test(GoldenSynthesis|IndentMatchesStdlib|EncodersMatchMarshalIndent)$' -count=1 ./internal/codec
-go test -run '^Test(MinimalHittingSets|ExpansionsMatchReference|ExpansionsTruncatedPrefix|PrimesContainingMatchesReference|MaximalMatchesBruteForce|MaximalFullArity|CubeIndexMatchesScan)$' -count=1 ./internal/logic
-go test -run '^Test(DHFPrimesMatchReference|DHFPrimesMatchLenientRungs|FIRBaselineSpecCover|FeasibleMatchesMinimize|StrictRungOutcomes|VerilogMatchesConcretizedRenderer|VerilogRendersOnce|HypercubeEncodeOddCycles|StoreRecordsPinned|WarmServedAllocs|ShareSignalsFixedOrder)$' -count=1 ./internal/hfmin ./internal/synth ./internal/stage ./internal/local
+go test -run '^Test(MinimalHittingSets|ExpansionsMatchReference|ExpansionsTruncatedPrefix|PrimesContainingMatchesReference|MaximalMatchesBruteForce|MaximalFullArity|CubeIndexMatchesScan|SolvePinned)$' -count=1 ./internal/logic
+go test -run '^Test(DHFPrimesMatchReference|DHFPrimesMatchLenientRungs|FIRBaselineSpecCover|FeasibleMatchesMinimize|StrictRungOutcomes|VerilogMatchesConcretizedRenderer|VerilogRendersOnce|HypercubeEncodeOddCycles|StoreRecordsPinned|WarmServedAllocs|ShareSignalsFixedOrder|SearchRecordsPinned|WorkCountersPinned)$' -count=1 ./internal/hfmin ./internal/synth ./internal/stage ./internal/local ./internal/search .
 echo "== go test -race"
 # 20m: the default 10m per-package budget is too tight for
 # internal/search under the race detector once the loadtest package's
@@ -132,10 +134,10 @@ echo "   the other in-flight jobs; asserted via obs pool gauges)"
 go test -race -run 'TestCancelFreesWorkersWithoutFailingOthers|TestHTTPBackpressureAndCancel' -count=1 ./internal/service
 echo "== covering solver cross-check (bb's cost equals a plain reference"
 echo "   search on the random corpus, bb's pinned optima on the GCD worst"
-echo "   matrix and spec and on the FIR search spec, the dhf-prime order"
-echo "   oracle, full pipeline synthesis at -j 4 bit-identical to -j 1 on"
-echo "   all three benchmarks)"
-go test -race -run 'TestSolverCrossCheck|TestGCDWorstCaseFixture' -count=1 ./internal/logic
+echo "   matrix and spec and on the FIR search spec, bb's pinned covers and"
+echo "   search trees, the dhf-prime order oracle, full pipeline synthesis"
+echo "   at -j 4 bit-identical to -j 1 on all three benchmarks)"
+go test -race -run 'TestSolverCrossCheck|TestGCDWorstCaseFixture|TestSolvePinned' -count=1 ./internal/logic
 go test -race -run 'TestWorstCaseSpecSolvers|TestFIRBaselineSpecCover|TestDHFPrimesMatchReference' -count=1 ./internal/hfmin
 go test -race -run 'TestParallelRunEquivalence' -count=1 .
 echo "== gate-level closure (synthesized logic verified on every registry"
