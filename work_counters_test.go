@@ -20,7 +20,12 @@ var updateCounters = flag.Bool("update", false, "rewrite testdata/work_counters.
 
 // workCounters are the exact structural counts TestWorkCountersPinned
 // pins: how much enumeration the minimizer, the covering search and GT5's
-// merge search do, independent of wall time.
+// merge search do, independent of wall time; how many specs had to be
+// sorted into canonical order; how many hitting-set enumerations stopped
+// at logic.MaxExpansions (the exactness arguments of hfmin.Feasible and of
+// PrimesContaining's deduplication assume none); and how many encoding
+// attempts synthesis made and how many strict binary ones hfmin.Feasible
+// refuted.
 var workCounters = []string{
 	"hfmin/minimizations",
 	"logic/hs-candidates",
@@ -30,6 +35,10 @@ var workCounters = []string{
 	"solver/bb/cutoffs",
 	"gt5/states",
 	"gt5/graph-clones",
+	"hfmin/spec-sorts",
+	"logic/hs-truncated",
+	"synth/attempts",
+	"synth/refuted",
 }
 
 // countWork runs fn with a fresh metrics registry installed and appends
