@@ -1,6 +1,7 @@
 package hfmin
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -271,7 +272,9 @@ func TestTransitionCube(t *testing.T) {
 }
 
 // TestCanonicalSorts: Canonical orders transitions by (kind, start, end)
-// and is idempotent; the input spec is never mutated.
+// and is idempotent; an unsorted spec is sorted in a copy and never
+// mutated, and an already canonical one comes back sharing its
+// transitions.
 func TestCanonicalSorts(t *testing.T) {
 	spec := Spec{N: 3, Transitions: []Transition{
 		tr("1-0", "1-0", Static1),
@@ -298,6 +301,12 @@ func TestCanonicalSorts(t *testing.T) {
 			t.Error("Canonical mutated its receiver")
 			break
 		}
+	}
+	if &canon.Transitions[0] == &spec.Transitions[0] {
+		t.Error("Canonical sorted an unsorted spec in place")
+	}
+	if &again.Transitions[0] != &canon.Transitions[0] || len(again.Transitions) != len(canon.Transitions) || again.N != canon.N {
+		t.Error("Canonical copied an already canonical spec")
 	}
 }
 
@@ -333,4 +342,113 @@ func TestMinimizeOrderIndependent(t *testing.T) {
 	if compared == 0 {
 		t.Fatal("no feasible random specs; generator is broken")
 	}
+}
+
+// TestAnalyzeMatchesReference: Analyze derives the same care sets,
+// required and privileged cubes, in the same order, and returns the same
+// error text as refAnalyze, which records each care cube's transition as
+// it goes instead of deriving the cubes again on the inconsistency error
+// path. The specs span 1 to 64 variables.
+func TestAnalyzeMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	inconsistent := 0
+	for iter := 0; iter < 3000; iter++ {
+		n := 1 + r.Intn(8)
+		if iter%10 == 0 {
+			n = logic.MaxVars - r.Intn(4)
+		}
+		spec := randomSpec(r, n, 1+r.Intn(8)).Canonical()
+		got, err := Analyze(spec)
+		want, werr := refAnalyze(spec)
+		if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
+			t.Fatalf("iter %d: error %v, want %v", iter, err, werr)
+		}
+		if err != nil {
+			inconsistent++
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("iter %d: analysis\n got %+v\nwant %+v", iter, got, want)
+		}
+	}
+	if inconsistent < 300 {
+		t.Fatalf("only %d of 3000 random specs inconsistent", inconsistent)
+	}
+}
+
+// refAnalyze is Analyze as it was before the inconsistency error derived
+// the cubes again: it keeps the source transition of every care cube and
+// a set of the required cubes, and lists changing variables in a slice.
+func refAnalyze(spec Spec) (Result, error) {
+	var res Result
+	res.OnSet = logic.Cover{N: spec.N}
+	res.OffSet = logic.Cover{N: spec.N}
+	var onSrc, offSrc []int
+	seenReq := map[[2]uint64]bool{}
+	addReq := func(c logic.Cube) {
+		if !c.IsEmpty() && !seenReq[c.Key()] {
+			seenReq[c.Key()] = true
+			res.Required = append(res.Required, c)
+		}
+	}
+	for i, t := range spec.Transitions {
+		T := t.Cube()
+		var ch []int
+		for v := 0; v < spec.N; v++ {
+			s, e := t.Start.Get(v), t.End.Get(v)
+			if s != logic.Dash && e != logic.Dash && s != e {
+				ch = append(ch, v)
+			}
+		}
+		sub := func(vals logic.Cube) logic.Cube {
+			c := T
+			for _, v := range ch {
+				c = c.With(v, vals.Get(v))
+			}
+			return c
+		}
+		on := func(c logic.Cube, req bool) {
+			if !c.IsEmpty() {
+				onSrc = append(onSrc, i)
+			}
+			res.OnSet.Add(c)
+			if req {
+				addReq(c)
+			}
+		}
+		off := func(c logic.Cube) {
+			if !c.IsEmpty() {
+				offSrc = append(offSrc, i)
+			}
+			res.OffSet.Add(c)
+		}
+		switch t.Kind {
+		case Static0:
+			off(T)
+		case Static1:
+			on(T, true)
+		case Fall:
+			off(sub(t.End))
+			for _, v := range ch {
+				on(T.With(v, t.Start.Get(v)), true)
+			}
+			res.Privileged = append(res.Privileged, Privileged{Trans: T, Need: sub(t.Start)})
+		case Rise:
+			on(sub(t.End), true)
+			for _, v := range ch {
+				off(T.With(v, t.Start.Get(v)))
+			}
+			res.Privileged = append(res.Privileged, Privileged{Trans: T, Need: sub(t.End)})
+		}
+	}
+	for oi, on := range res.OnSet.Cubes {
+		for fi, off := range res.OffSet.Cubes {
+			if on.Intersects(off) {
+				a, b := spec.Transitions[onSrc[oi]], spec.Transitions[offSrc[fi]]
+				return res, fmt.Errorf("hfmin: inconsistent specification: ON cube %s (transition %d: %s %s→%s) intersects OFF cube %s (transition %d: %s %s→%s)",
+					on, onSrc[oi], a.Kind, a.Start, a.End, off, offSrc[fi], b.Kind, b.Start, b.End)
+			}
+		}
+	}
+	return res, nil
 }
