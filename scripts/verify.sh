@@ -33,11 +33,14 @@ echo "   against the concretizing renderer and rendered once per result,"
 echo "   the hypercube encoder on odd and even cycles, the stage store's"
 echo "   records by name and hash, the warm served pass's allocation"
 echo "   ceiling, LT5's merge order, the search profile's records and"
-echo "   report, Solve's pinned covers, steps and cutoffs, and the exact"
-echo "   work counters of the registry and the search profile)"
+echo "   report, Solve's pinned covers, steps and cutoffs, the exact"
+echo "   work counters of the registry and the search profile, the cold"
+echo "   pass's allocation ceiling, the analysis and the truncated prime"
+echo "   filter against their references, Canonical's sort and sharing, and"
+echo "   memoized results deep-equal to direct ones, nil slices included)"
 go test -run '^Test(GoldenSynthesis|IndentMatchesStdlib|EncodersMatchMarshalIndent)$' -count=1 ./internal/codec
-go test -run '^Test(MinimalHittingSets|ExpansionsMatchReference|ExpansionsTruncatedPrefix|PrimesContainingMatchesReference|MaximalMatchesBruteForce|MaximalFullArity|CubeIndexMatchesScan|SolvePinned)$' -count=1 ./internal/logic
-go test -run '^Test(DHFPrimesMatchReference|DHFPrimesMatchLenientRungs|FIRBaselineSpecCover|FeasibleMatchesMinimize|StrictRungOutcomes|VerilogMatchesConcretizedRenderer|VerilogRendersOnce|HypercubeEncodeOddCycles|StoreRecordsPinned|WarmServedAllocs|ShareSignalsFixedOrder|SearchRecordsPinned|WorkCountersPinned)$' -count=1 ./internal/hfmin ./internal/synth ./internal/stage ./internal/local ./internal/search .
+go test -run '^Test(MinimalHittingSets|ExpansionsMatchReference|ExpansionsTruncatedPrefix|PrimesContainingMatchesReference|PrimesContainingTruncated|MaximalMatchesBruteForce|MaximalFullArity|CubeIndexMatchesScan|SolvePinned)$' -count=1 ./internal/logic
+go test -run '^Test(DHFPrimesMatchReference|DHFPrimesMatchLenientRungs|FIRBaselineSpecCover|FeasibleMatchesMinimize|AnalyzeMatchesReference|CanonicalSorts|StrictRungOutcomes|VerilogMatchesConcretizedRenderer|VerilogRendersOnce|HypercubeEncodeOddCycles|ColdSynthAllocs|StoreRecordsPinned|WarmServedAllocs|ShareSignalsFixedOrder|SearchRecordsPinned|WorkCountersPinned|RandomSpecsMemoEqualsDirect)$' -count=1 ./internal/hfmin ./internal/synth ./internal/stage ./internal/local ./internal/search ./internal/memo .
 echo "== go test -race"
 # 20m: the default 10m per-package budget is too tight for
 # internal/search under the race detector once the loadtest package's
