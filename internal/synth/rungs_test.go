@@ -57,6 +57,24 @@ func controllers(t *testing.T, design string, g *cdfg.Graph) []controller {
 	return out
 }
 
+// genControllers returns the controllers of gen seeds lo..hi-1, each
+// named gen<seed>/FU, leaving out the designs the flow rejects.
+func genControllers(lo, hi int64) []controller {
+	var out []controller
+	for seed := lo; seed < hi; seed++ {
+		opt := core.DefaultOptions()
+		opt.Parallelism = 1
+		s, err := core.Run(gen.Graph(seed), opt)
+		if err != nil {
+			continue // a generated design the flow rejects has no controllers
+		}
+		for _, fu := range s.FUs() {
+			out = append(out, controller{name: fmt.Sprintf("gen%d/%s", seed, fu), m: s.Machines[fu]})
+		}
+	}
+	return out
+}
+
 // outcome renders a synthesis outcome as one line: the result's shape,
 // or the error text.
 func outcome(res *synth.Result, err error) string {
@@ -80,31 +98,36 @@ func (c *specCounter) Minimize(spec hfmin.Spec) (hfmin.Result, error) {
 	return hfmin.Minimize(spec)
 }
 
-// TestStrictRungOutcomes forces each strict rung of the encoding ladder
-// on every registry controller and on the controllers of gen seeds 12
-// and 19, three times at one worker and at four, and requires every
-// outcome, success or the exact error text, to equal the one in
-// testdata/strict_rungs.txt, written by an earlier version that
-// minimized every function of a strict attempt. The feasibility check
-// that now refutes a doomed attempt before any minimization must fail it
-// with the same error. The hypercube encoder takes gen seeds 12 and 19
-// through rejected codes, and a strict attempt's error names the
-// function and cube its codes make uncoverable, so an encoder that
-// ranges over a map, and tries codes in a different order from run to
-// run, shows here. A strict-binary attempt the check refutes poses no
-// spec to the minimizer: every registry controller's strict-binary rung
-// fails, and none may pose one.
+// TestStrictRungOutcomes runs every rung of the encoding ladder, and the
+// whole ladder, on every registry controller and on the controllers of
+// gen seeds 0–39, and requires every outcome, success or the exact error
+// text, to equal the one in testdata/strict_rungs.txt. The strict rungs'
+// lines were written by an earlier version that minimized every function
+// of a strict attempt: the feasibility check that now refutes a doomed
+// attempt before any minimization must fail it with the same error. An
+// error names the function and cube that the last width tried makes
+// uncoverable, so a ladder that left out a width whose error reaches
+// the caller shows here too.
+//
+// The registry controllers and those of gen seeds 12 and 19 run three
+// times at one worker and at four, the other gen controllers once at
+// each. The hypercube encoder takes gen seeds 12 and 19 through rejected
+// codes, so an encoder that ranges over a map, and tries codes in a
+// different order from run to run, shows here. A strict-binary attempt
+// the check refutes poses no spec to the minimizer: every registry
+// controller's strict-binary rung fails, and none may pose one.
 func TestStrictRungOutcomes(t *testing.T) {
-	const runs = 3
 	ctrls := registryControllers(t)
 	registry := len(ctrls)
-	for _, seed := range []int64{12, 19} {
-		ctrls = append(ctrls, controllers(t, fmt.Sprintf("gen%d", seed), gen.Graph(seed))...)
-	}
+	ctrls = append(ctrls, genControllers(0, 40)...)
 	var got strings.Builder
 	refuted, refutedRegistry := 0, 0
 	for ci, c := range ctrls {
-		for rung := 0; rung < 3; rung++ {
+		runs := 1
+		if ci < registry || strings.HasPrefix(c.name, "gen12/") || strings.HasPrefix(c.name, "gen19/") {
+			runs = 3
+		}
+		for rung := -1; rung < synth.NumRungs(); rung++ {
 			var first string
 			for run := 0; run < runs; run++ {
 				for _, workers := range []int{1, 4} {

@@ -28,19 +28,21 @@ echo "   Maximal and its containment index against brute force, the"
 echo "   dhf-prime list in order against the unpruned recursion on"
 echo "   random specs, fixtures, the registry and the lenient rungs' specs,"
 echo "   the FIR search spec's pinned cover, the feasibility check against"
-echo "   full minimization, the strict rungs' pinned outcomes, netlists"
-echo "   against the concretizing renderer and rendered once per result,"
-echo "   the hypercube encoder on odd and even cycles, the stage store's"
-echo "   records by name and hash, the warm served pass's allocation"
+echo "   full minimization, the ladder's pinned outcomes at every rung, the"
+echo "   equal-code lemma at every width, netlists against the concretizing"
+echo "   renderer and rendered once per result, the hypercube encoder on odd"
+echo "   and even cycles and against its map-based reference, the stage"
+echo "   store's records by name and hash, the warm served pass's allocation"
 echo "   ceiling, LT5's merge order, the search profile's records and"
-echo "   report, Solve's pinned covers, steps and cutoffs, the exact"
-echo "   work counters of the registry and the search profile, the cold"
-echo "   pass's allocation ceiling, the analysis and the truncated prime"
-echo "   filter against their references, Canonical's sort and sharing, and"
-echo "   memoized results deep-equal to direct ones, nil slices included)"
+echo "   report, Solve's pinned covers, steps and cutoffs, the exact work"
+echo "   counters of the registry, its warm re-runs and edits and the search"
+echo "   profile, the cold pass's allocation ceiling, the analysis and the"
+echo "   truncated prime filter against their references, Canonical's sort"
+echo "   and sharing, and memoized results deep-equal to direct ones, nil"
+echo "   slices included)"
 go test -run '^Test(GoldenSynthesis|IndentMatchesStdlib|EncodersMatchMarshalIndent)$' -count=1 ./internal/codec
 go test -run '^Test(MinimalHittingSets|ExpansionsMatchReference|ExpansionsTruncatedPrefix|PrimesContainingMatchesReference|PrimesContainingTruncated|MaximalMatchesBruteForce|MaximalFullArity|CubeIndexMatchesScan|SolvePinned)$' -count=1 ./internal/logic
-go test -run '^Test(DHFPrimesMatchReference|DHFPrimesMatchLenientRungs|FIRBaselineSpecCover|FeasibleMatchesMinimize|AnalyzeMatchesReference|CanonicalSorts|StrictRungOutcomes|VerilogMatchesConcretizedRenderer|VerilogRendersOnce|HypercubeEncodeOddCycles|ColdSynthAllocs|StoreRecordsPinned|WarmServedAllocs|ShareSignalsFixedOrder|SearchRecordsPinned|WorkCountersPinned|RandomSpecsMemoEqualsDirect)$' -count=1 ./internal/hfmin ./internal/synth ./internal/stage ./internal/local ./internal/search ./internal/memo .
+go test -run '^Test(DHFPrimesMatchReference|DHFPrimesMatchLenientRungs|FIRBaselineSpecCover|FeasibleMatchesMinimize|AnalyzeMatchesReference|CanonicalSorts|StrictRungOutcomes|EqualCodesSameOutcome|EncoderMatchesReference|VerilogMatchesConcretizedRenderer|VerilogRendersOnce|HypercubeEncodeOddCycles|ColdSynthAllocs|StoreRecordsPinned|WarmServedAllocs|ShareSignalsFixedOrder|SearchRecordsPinned|WorkCountersPinned|RandomSpecsMemoEqualsDirect)$' -count=1 ./internal/hfmin ./internal/synth ./internal/stage ./internal/local ./internal/search ./internal/memo .
 echo "== go test -race"
 # 20m: the default 10m per-package budget is too tight for
 # internal/search under the race detector once the loadtest package's

@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -9,11 +10,14 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/cdfg"
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/logic"
 	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/search"
+	"repro/internal/stage"
 )
 
 var updateCounters = flag.Bool("update", false, "rewrite testdata/work_counters.txt")
@@ -23,9 +27,9 @@ var updateCounters = flag.Bool("update", false, "rewrite testdata/work_counters.
 // merge search do, independent of wall time; how many specs had to be
 // sorted into canonical order; how many hitting-set enumerations stopped
 // at logic.MaxExpansions (the exactness arguments of hfmin.Feasible and of
-// PrimesContaining's deduplication assume none); and how many encoding
+// PrimesContaining's deduplication assume none); how many encoding
 // attempts synthesis made and how many strict binary ones hfmin.Feasible
-// refuted.
+// refuted; and how many minimizations the memo store served and computed.
 var workCounters = []string{
 	"hfmin/minimizations",
 	"logic/hs-candidates",
@@ -39,11 +43,29 @@ var workCounters = []string{
 	"logic/hs-truncated",
 	"synth/attempts",
 	"synth/refuted",
+	"memo/hits",
+	"memo/misses",
+}
+
+// stageCounters are the stage-cache lookups TestWorkCountersPinned pins
+// for a warm re-run and for an edit: hits and misses in all, and per
+// stage.
+var stageCounters = []string{
+	"stage/hits",
+	"stage/misses",
+	"stage/gt/hits",
+	"stage/gt/misses",
+	"stage/extract/hits",
+	"stage/extract/misses",
+	"stage/lt/hits",
+	"stage/lt/misses",
+	"stage/synth/hits",
+	"stage/synth/misses",
 }
 
 // countWork runs fn with a fresh metrics registry installed and appends
-// one "label counter value" line per work counter to b.
-func countWork(t *testing.T, b *strings.Builder, label string, fn func() error) {
+// one "label counter value" line per named counter to b.
+func countWork(t *testing.T, b *strings.Builder, label string, counters []string, fn func() error) {
 	t.Helper()
 	m := obs.NewMetrics()
 	obs.SetMetrics(m)
@@ -52,16 +74,46 @@ func countWork(t *testing.T, b *strings.Builder, label string, fn func() error) 
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	for _, name := range workCounters {
+	for _, name := range counters {
 		fmt.Fprintf(b, "%s %s %d\n", label, name, m.Counter(name))
 	}
+}
+
+// countStages runs design through a stage.Engine at -j 1 over a fresh
+// in-memory store three times: cold, warm, and after swapDelta on its
+// first swappable node. It appends the stage counters of the warm run,
+// labelled warm/<design>, and of the edited run, labelled edit/<design>.
+func countStages(t *testing.T, b *strings.Builder, design string, g *cdfg.Graph) {
+	t.Helper()
+	opt := core.DefaultOptions()
+	opt.Parallelism = 1
+	e := stage.New(nil)
+	run := func(g *cdfg.Graph) error {
+		_, _, err := e.Run(context.Background(), g, opt)
+		return err
+	}
+	if err := run(g); err != nil {
+		t.Fatalf("cold/%s through the stage engine: %v", design, err)
+	}
+	countWork(t, b, "warm/"+design, stageCounters, func() error { return run(g) })
+	nodes := swappable(g)
+	if len(nodes) == 0 {
+		t.Fatalf("%s has no swappable FU-bound op", design)
+	}
+	edited, err := codec.ApplyDelta(g, swapDelta(nodes[0]))
+	if err != nil {
+		t.Fatalf("%s: ApplyDelta: %v", design, err)
+	}
+	countWork(t, b, "edit/"+design, stageCounters, func() error { return run(edited) })
 }
 
 // TestWorkCountersPinned pins exact work counts against
 // testdata/work_counters.txt: for every registry design a cold -j 1
 // synthesis (core.Run and SynthesizeLogic through a fresh in-memory
-// memo store, as asyncsynth -j 1 synthdoc runs it), and for diffeq and
-// fir the search profile of asyncsynth -j 1 search -waves 1 -budget 12.
+// memo store, as asyncsynth -j 1 synthdoc runs it) and the stage-cache
+// lookups of a warm re-run and of an edit (countStages), and for diffeq
+// and fir the search profile of asyncsynth -j 1 search -waves 1 -budget
+// 12.
 // A rewrite that claims to do less work shows it here as counts that
 // fall, with no timing noise. A count may fall in a change that
 // regenerates the file (-args -update); a rise needs a stated reason.
@@ -74,7 +126,7 @@ func TestWorkCountersPinned(t *testing.T) {
 
 	var got strings.Builder
 	for _, b := range bench.All() {
-		countWork(t, &got, "cold/"+b.Name, func() error {
+		countWork(t, &got, "cold/"+b.Name, workCounters, func() error {
 			opt := core.DefaultOptions()
 			opt.Parallelism = 1
 			store, _ := memo.NewStore("") // in memory: never errors
@@ -86,13 +138,14 @@ func TestWorkCountersPinned(t *testing.T) {
 			_, err = s.SynthesizeLogic()
 			return err
 		})
+		countStages(t, &got, b.Name, b.Build())
 	}
 	for _, name := range []string{"diffeq", "fir"} {
 		b, ok := bench.Lookup(name)
 		if !ok {
 			t.Fatalf("unknown benchmark %s", name)
 		}
-		countWork(t, &got, "search/"+name, func() error {
+		countWork(t, &got, "search/"+name, workCounters, func() error {
 			store, _ := memo.NewStore("")
 			_, err := search.Run(b.Build(), search.Options{
 				Workers:    1,
