@@ -472,6 +472,19 @@ func minimize(ctx context.Context, spec Spec) (Result, error) {
 //     unpruned walk first visited them.
 //
 // Primes themselves are never skipped: a legal prime lies inside itself.
+//
+// The walk keeps no record of the primes, and merges its output through
+// Maximal only when it emitted a legal shrink:
+//   - The primes are distinct, and no shrink is a prime: a shrink lies
+//     strictly inside the prime it was shrunk from, and no prime contains
+//     another. So the walk visits each prime once, and only the shrinks
+//     need a record of the cubes visited.
+//   - Only shrinks query the legal-prime index, and its answers do not
+//     depend on when its cubes were filed. So it is built on the walk's
+//     first shrink, and a spec whose primes are all legal builds none.
+//   - Without a legal shrink the output is the legal primes, distinct and
+//     pairwise non-containing, in the primes' order, which is what
+//     Maximal would return.
 func dhfPrimes(required []logic.Cube, off logic.Cover, priv []Privileged) []logic.Cube {
 	primes := logic.PrimesContaining(required, off)
 	// illegal returns the first privileged cube p intersects without
@@ -484,22 +497,30 @@ func dhfPrimes(required []logic.Cube, off logic.Cover, priv []Privileged) []logi
 		}
 		return nil
 	}
-	legal := logic.NewCubeIndex(primes) // the walk asks about their shrinks
-	for _, p := range primes {
-		if illegal(p) == nil {
-			legal.Add(p)
-		}
-	}
-	// Sized for the primes, which the walk visits at least.
-	seen := make(map[[2]uint64]bool, len(primes))
+	var legal *logic.CubeIndex  // the legal primes, filed on the first shrink
+	var seen map[[2]uint64]bool // the shrinks visited
 	out := make([]logic.Cube, 0, len(primes))
 	shrinks := 0 // legal shrinks emitted
 	var emit func(p logic.Cube, shrunk bool)
 	emit = func(p logic.Cube, shrunk bool) {
-		if p.IsEmpty() || shrunk && legal.Contains(p) || seen[p.Key()] {
+		if p.IsEmpty() {
 			return
 		}
-		seen[p.Key()] = true
+		if shrunk {
+			if legal == nil {
+				legal = logic.NewCubeIndex(primes) // the walk asks about their shrinks
+				for _, q := range primes {
+					if illegal(q) == nil {
+						legal.Add(q)
+					}
+				}
+				seen = make(map[[2]uint64]bool, len(primes))
+			}
+			if legal.Contains(p) || seen[p.Key()] {
+				return
+			}
+			seen[p.Key()] = true
+		}
 		pv := illegal(p)
 		if pv == nil {
 			out = append(out, p)
@@ -523,10 +544,15 @@ func dhfPrimes(required []logic.Cube, off logic.Cover, priv []Privileged) []logi
 	for _, p := range primes {
 		emit(p, false)
 	}
-	dhf := logic.Maximal(out)
+	if shrinks > 0 {
+		out = logic.Maximal(out)
+	}
 	obs.Add("hfmin/shrinks-emitted", int64(shrinks))
-	obs.Add("hfmin/dhf-primes", int64(len(dhf)))
-	return dhf
+	obs.Add("hfmin/dhf-primes", int64(len(out)))
+	if len(out) == 0 {
+		return nil // an empty Result slice stays nil, as a memoized one is
+	}
+	return out
 }
 
 // Verify checks that a cover is a correct hazard-free implementation of the
