@@ -226,6 +226,26 @@ func TestDisabledOverheadGuard(t *testing.T) {
 	t.Errorf("disabled-observability overhead %.1f%% exceeds the 5%% budget", (best-1)*100)
 }
 
+// TestSpanDisabledAllocs pins the disabled path's allocation count: with
+// no tracer and no metrics installed, a span ended with or without an
+// error and a counter increment allocate nothing.
+func TestSpanDisabledAllocs(t *testing.T) {
+	withGlobals(t, nil, nil)
+	err := errors.New("stage failed")
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"Start.End", func() { Start("stage", "unit").End() }},
+		{"Start.EndErr", func() { Start("stage", "unit").EndErr(err) }},
+		{"Add", func() { Add("stage/counter", 1) }},
+	} {
+		if n := testing.AllocsPerRun(1000, c.fn); n != 0 {
+			t.Errorf("%s allocates %.1f objects with observability off, want 0", c.name, n)
+		}
+	}
+}
+
 func BenchmarkSpanDisabled(b *testing.B) {
 	withGlobals(b, nil, nil)
 	b.ReportAllocs()

@@ -13,6 +13,7 @@ import (
 	"repro/internal/cdfg"
 	"repro/internal/codec"
 	"repro/internal/core"
+	"repro/internal/gen"
 	"repro/internal/logic"
 	"repro/internal/memo"
 	"repro/internal/obs"
@@ -107,13 +108,32 @@ func countStages(t *testing.T, b *strings.Builder, design string, g *cdfg.Graph)
 	countWork(t, b, "edit/"+design, stageCounters, func() error { return run(edited) })
 }
 
+// genSample are perfbench's generated designs: the first three seeds
+// from 1 that close at gate level.
+var genSample = []int64{2, 5, 7}
+
+// coldSynth runs g through core.Run and SynthesizeLogic at -j 1 over a
+// fresh in-memory memo store, as asyncsynth -j 1 synthdoc runs it.
+func coldSynth(g *cdfg.Graph) error {
+	opt := core.DefaultOptions()
+	opt.Parallelism = 1
+	store, _ := memo.NewStore("") // in memory: never errors
+	opt.Minimizer = memo.OnStore(store)
+	s, err := core.Run(g, opt)
+	if err != nil {
+		return err
+	}
+	_, err = s.SynthesizeLogic()
+	return err
+}
+
 // TestWorkCountersPinned pins exact work counts against
 // testdata/work_counters.txt: for every registry design a cold -j 1
-// synthesis (core.Run and SynthesizeLogic through a fresh in-memory
-// memo store, as asyncsynth -j 1 synthdoc runs it) and the stage-cache
-// lookups of a warm re-run and of an edit (countStages), and for diffeq
-// and fir the search profile of asyncsynth -j 1 search -waves 1 -budget
-// 12.
+// synthesis (coldSynth) and the stage-cache lookups of a warm re-run and
+// of an edit (countStages), for diffeq and fir the search profile of
+// asyncsynth -j 1 search -waves 1 -budget 12, and a cold synthesis of
+// each design of perfbench's gen sample, decoded from its JSON encoding
+// as the daemon receives it.
 // A rewrite that claims to do less work shows it here as counts that
 // fall, with no timing noise. A count may fall in a change that
 // regenerates the file (-args -update); a rise needs a stated reason.
@@ -126,18 +146,7 @@ func TestWorkCountersPinned(t *testing.T) {
 
 	var got strings.Builder
 	for _, b := range bench.All() {
-		countWork(t, &got, "cold/"+b.Name, workCounters, func() error {
-			opt := core.DefaultOptions()
-			opt.Parallelism = 1
-			store, _ := memo.NewStore("") // in memory: never errors
-			opt.Minimizer = memo.OnStore(store)
-			s, err := core.Run(b.Build(), opt)
-			if err != nil {
-				return err
-			}
-			_, err = s.SynthesizeLogic()
-			return err
-		})
+		countWork(t, &got, "cold/"+b.Name, workCounters, func() error { return coldSynth(b.Build()) })
 		countStages(t, &got, b.Name, b.Build())
 	}
 	for _, name := range []string{"diffeq", "fir"} {
@@ -160,6 +169,17 @@ func TestWorkCountersPinned(t *testing.T) {
 			})
 			return err
 		})
+	}
+	for _, seed := range genSample {
+		body, err := codec.EncodeGraph(gen.Graph(seed))
+		if err != nil {
+			t.Fatalf("gen-%d: %v", seed, err)
+		}
+		g, err := codec.DecodeGraph(body)
+		if err != nil {
+			t.Fatalf("gen-%d: %v", seed, err)
+		}
+		countWork(t, &got, fmt.Sprintf("cold/gen-%d", seed), workCounters, func() error { return coldSynth(g) })
 	}
 
 	golden := filepath.Join("testdata", "work_counters.txt")
