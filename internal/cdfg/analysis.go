@@ -1,5 +1,7 @@
 package cdfg
 
+import "slices"
+
 // Reach answers precedence queries over a CDFG. Because loops execute
 // repeatedly and the loop-parallelism transform lets two consecutive
 // iterations overlap, queries are posed on a two-copy unrolling of the
@@ -43,6 +45,20 @@ func NewReach(g *Graph) *Reach {
 		}
 	}
 	return r
+}
+
+// RemoveArc drops arc a's edge records, for a graph from which a was
+// removed, in place of a NewReach of the edited graph. NewReach files
+// each node's records in arc-ID order, and dropping a record keeps the
+// others' order, so the index equals the one NewReach would build.
+func (r *Reach) RemoveArc(a *Arc) {
+	fi := r.index[a.From]
+	drop := func(e edgeRec) bool { return e.arc.ID == a.ID }
+	r.adj[fi] = slices.DeleteFunc(r.adj[fi], drop)
+	if !r.crossesIteration(a) {
+		n := len(r.ids)
+		r.adj[fi+n] = slices.DeleteFunc(r.adj[fi+n], drop)
+	}
 }
 
 // crossesIteration reports whether the arc represents an iteration-crossing
