@@ -10,14 +10,15 @@ import (
 )
 
 // Ceilings on one cold pass over the five registry designs, about 10%
-// above what it takes since the encoding ladder tries each distinct
-// encoding once and the dhf-prime walk files its legal primes only when
-// it shrinks: about 155,000 objects and 16.5 MB. It took about 193,000
-// objects and 20.8 MB before, and about 238,000 and 33.4 MB before specs
-// were built canonical.
+// above what it takes since each minimization takes its working memory
+// from pooled scratch and builds its results at their final size: about
+// 94,000 objects and 9.0 MB. It took about 155,000 objects and 16.5 MB
+// before, about 193,000 and 20.8 MB before the encoding ladder tried each
+// distinct encoding once, and about 238,000 and 33.4 MB before specs were
+// built canonical.
 const (
-	coldAllocCeiling = 171_000
-	coldByteCeiling  = 18_200_000
+	coldAllocCeiling = 103_000
+	coldByteCeiling  = 9_900_000
 )
 
 // TestColdSynthAllocs counts what a cold synthesis allocates: core.Run
