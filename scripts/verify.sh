@@ -36,13 +36,16 @@ echo "   store's records by name and hash, the warm served pass's allocation"
 echo "   ceiling, LT5's merge order, the search profile's records and"
 echo "   report, Solve's pinned covers, steps and cutoffs, the exact work"
 echo "   counters of the registry, its warm re-runs and edits and the search"
-echo "   profile, the cold pass's allocation ceiling, the analysis and the"
-echo "   truncated prime filter against their references, Canonical's sort"
-echo "   and sharing, and memoized results deep-equal to direct ones, nil"
-echo "   slices included)"
+echo "   profile and the gen sample, the cold pass's allocation ceiling, the"
+echo "   analysis and the truncated prime filter against their references,"
+echo "   Canonical's sort and sharing, memoized results deep-equal to direct"
+echo "   ones, nil slices included, minimization results deep-equal in every"
+echo "   order and from four goroutines, the row sort against"
+echo "   slices.SortFunc, the disabled span's zero allocations, and GT2's"
+echo "   in-place reachability updates against a rebuilt index)"
 go test -run '^Test(GoldenSynthesis|IndentMatchesStdlib|EncodersMatchMarshalIndent)$' -count=1 ./internal/codec
-go test -run '^Test(MinimalHittingSets|ExpansionsMatchReference|ExpansionsTruncatedPrefix|PrimesContainingMatchesReference|PrimesContainingTruncated|MaximalMatchesBruteForce|MaximalFullArity|CubeIndexMatchesScan|SolvePinned)$' -count=1 ./internal/logic
-go test -run '^Test(DHFPrimesMatchReference|DHFPrimesMatchLenientRungs|FIRBaselineSpecCover|FeasibleMatchesMinimize|AnalyzeMatchesReference|CanonicalSorts|StrictRungOutcomes|EqualCodesSameOutcome|EncoderMatchesReference|VerilogMatchesConcretizedRenderer|VerilogRendersOnce|HypercubeEncodeOddCycles|ColdSynthAllocs|StoreRecordsPinned|WarmServedAllocs|ShareSignalsFixedOrder|SearchRecordsPinned|WorkCountersPinned|RandomSpecsMemoEqualsDirect)$' -count=1 ./internal/hfmin ./internal/synth ./internal/stage ./internal/local ./internal/search ./internal/memo .
+go test -run '^Test(MinimalHittingSets|ExpansionsMatchReference|ExpansionsTruncatedPrefix|PrimesContainingMatchesReference|PrimesContainingTruncated|MaximalMatchesBruteForce|MaximalFullArity|CubeIndexMatchesScan|SolvePinned|SortRowsMatchesSortFunc)$' -count=1 ./internal/logic
+go test -run '^Test(DHFPrimesMatchReference|DHFPrimesMatchLenientRungs|FIRBaselineSpecCover|FeasibleMatchesMinimize|AnalyzeMatchesReference|CanonicalSorts|StrictRungOutcomes|EqualCodesSameOutcome|EncoderMatchesReference|VerilogMatchesConcretizedRenderer|VerilogRendersOnce|HypercubeEncodeOddCycles|ColdSynthAllocs|StoreRecordsPinned|WarmServedAllocs|ShareSignalsFixedOrder|SearchRecordsPinned|WorkCountersPinned|RandomSpecsMemoEqualsDirect|ScratchReuse|SpanDisabledAllocs|ReachRemoveArcMatchesRebuild)$' -count=1 ./internal/hfmin ./internal/synth ./internal/stage ./internal/local ./internal/search ./internal/memo ./internal/obs ./internal/cdfg .
 echo "== go test -race"
 # 20m: the default 10m per-package budget is too tight for
 # internal/search under the race detector once the loadtest package's
