@@ -11,17 +11,6 @@ func bitsetWords(n int) int { return (n + 63) / 64 }
 
 func newBitset(n int) bitset { return make(bitset, bitsetWords(n)) }
 
-// newBitsets returns count bitsets of n bits each, sharing one allocation.
-func newBitsets(count, n int) []bitset {
-	w := bitsetWords(n)
-	backing := make([]uint64, count*w)
-	out := make([]bitset, count)
-	for i := range out {
-		out[i] = backing[i*w : (i+1)*w : (i+1)*w]
-	}
-	return out
-}
-
 func (b bitset) set(i int)      { b[i>>6] |= 1 << uint(i&63) }
 func (b bitset) clear(i int)    { b[i>>6] &^= 1 << uint(i&63) }
 func (b bitset) has(i int) bool { return b[i>>6]&(1<<uint(i&63)) != 0 }
