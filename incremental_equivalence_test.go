@@ -141,9 +141,9 @@ func TestIncrementalBenchmarkEdits(t *testing.T) {
 
 // TestIncrementalGenCorpus drives randomized edit sequences over generated
 // designs: after every edit in the sequence the warm engine output must be
-// byte-identical to a cold pipeline run on the current design. Like the
-// loadtest workload, seeds the extractor rejects are skipped — the corpus
-// is the synthesizable subset of the generator's range.
+// byte-identical to a cold pipeline run on the current design. Seeds the
+// extractor rejects are skipped — the corpus is the synthesizable subset
+// of the generator's range.
 func TestIncrementalGenCorpus(t *testing.T) {
 	target, edits := 4, 3
 	if testing.Short() {
@@ -195,9 +195,10 @@ func TestIncrementalGenCorpus(t *testing.T) {
 	}
 }
 
-// TestIncrementalDiskWarmStart covers the cross-process path a fleet node
-// takes: a second engine over the same store directory re-runs an edited
-// design entirely from disk-tier stage records plus the one recompute.
+// TestIncrementalDiskWarmStart covers the cross-process path a daemon
+// restart on the same -cache-dir takes: a second engine over the same
+// store directory re-runs an edited design entirely from disk-tier stage
+// records plus the one recompute.
 func TestIncrementalDiskWarmStart(t *testing.T) {
 	dir := t.TempDir()
 	b, ok := bench.Lookup("diffeq")

@@ -1,7 +1,7 @@
 // Package memo is the content-addressed cache of the synthesis flow. One
-// Store holds two kinds of cached work behind one memory→disk→remote
-// chain: hazard-free two-level minimizations (internal/hfmin), the stage
-// that dominates pipeline wall time, and the incremental stage engine's
+// Store holds two kinds of cached work behind one memory→disk chain:
+// hazard-free two-level minimizations (internal/hfmin), the stage that
+// dominates pipeline wall time, and the incremental stage engine's
 // per-stage payloads (internal/stage). The synthesis flow re-solves the
 // same minimization problems over and over: the encoding ladder in
 // internal/synth retries every function per attempt, and the
@@ -42,23 +42,12 @@
 // rungs of the encoding ladder rediscover them constantly. Other errors
 // are cached in memory only, and a cancelled solve vacates its key.
 //
-// # Remote tier
-//
-// Store.SetRemote attaches a pluggable fleet-shared tier (the Remote
-// interface) behind memory and disk: a lookup that misses both consults
-// the remote — bounded by a timeout so a slow or dead remote degrades to
-// local compute — and freshly-solved results are offered back. Payloads
-// use the same strictly-validated envelope as the disk tier, so a corrupt
-// or byzantine remote costs at most a recompute. asyncsynthd wires
-// fleet.CacheClient here, making every node's solve warm the whole fleet.
-//
 // # Observability
 //
 // Each lookup outcome is published to the global obs registry under its
 // kind's counter family — memo/* for hfmin records, blob/* for stage
-// payloads: hits, misses, dedup-waits, disk-hits and the remote/* family
-// (hits, misses, errors, corrupt, stores) — and mirrored in Cache.Stats
-// and Store.Stats for programmatic use. Because hfmin.Analyze
+// payloads: hits, misses, dedup-waits and disk-hits — and mirrored in
+// Cache.Stats and Store.Stats for programmatic use. Because hfmin.Analyze
 // canonicalizes internally, a cache hit is bit-identical to what the miss
 // path would have computed; the memoized and unmemoized pipelines are
 // asserted equal by TestMemoEquivalence at the repo root.
@@ -100,8 +89,8 @@ func New(dir string) (*Cache, error) {
 
 // OnStore returns a cache that keeps its records in store, which the
 // caller may share with other kinds — the daemon hands one store to both
-// this cache and the stage engine, so one directory, one byte cap and
-// one remote tier serve both. store must be non-nil.
+// this cache and the stage engine, so one directory and one byte cap
+// serve both. store must be non-nil.
 func OnStore(store *Store) *Cache {
 	return &Cache{store: store}
 }

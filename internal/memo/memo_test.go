@@ -1,6 +1,7 @@
 package memo
 
 import (
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"os"
@@ -64,10 +65,9 @@ func TestKeyOrderIndependent(t *testing.T) {
 }
 
 // TestKeyGolden pins the key bytes of one spec under the covering mode.
-// Entries persisted in a -cache-dir or held by fleet peers are found by
-// these bytes, so a change to the salts, the hashed layout or the
-// Solver's number must show up here rather than orphan every stored
-// entry.
+// Entries persisted in a -cache-dir are found by these bytes, so a
+// change to the salts, the hashed layout or the Solver's number must show
+// up here rather than orphan every stored entry.
 func TestKeyGolden(t *testing.T) {
 	for solver, want := range map[logic.Solver]string{
 		logic.SolverBB: "1d0c50241e8589d675e70a7dc90a2748e1f6b4ea1f6c57a55a545cb0f58f3fea",
@@ -222,8 +222,11 @@ func TestDiskRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCorruptAndStaleEntriesIgnored: damaged records and records written
-// under a different version salt demote lookups to misses, never errors.
+// TestCorruptAndStaleEntriesIgnored: garbage, truncated, foreign-salt
+// and wrong-arity records on disk demote lookups to misses, never errors:
+// the solve computes locally and the result is unaffected. So do a valid
+// record without the envelope, as older versions wrote, and a stage
+// payload's envelope under an hfmin key.
 func TestCorruptAndStaleEntriesIgnored(t *testing.T) {
 	dir := t.TempDir()
 	c1 := mustCache(t, dir)
@@ -235,26 +238,39 @@ func TestCorruptAndStaleEntriesIgnored(t *testing.T) {
 	if err != nil || len(files) != 1 {
 		t.Fatalf("expected one cache file, got %v (%v)", files, err)
 	}
+	valid := mustRead(t, files[0])
+	var env blobRec
+	if err := json.Unmarshal([]byte(valid), &env); err != nil {
+		t.Fatal(err)
+	}
 	for name, content := range map[string]string{
-		"truncated":  "{\"salt\":",
-		"not-json":   "hello",
-		"wrong-salt": strings.Replace(mustRead(t, files[0]), Salt, "memo-v0/other", 1),
-		"bad-cube":   strings.Replace(mustRead(t, files[0]), "\"n\":2", "\"n\":1", 1),
+		"garbage":              "not json at all",
+		"truncated":            valid[:len(valid)/2],
+		"empty-object":         "{}",
+		"foreign-store-salt":   strings.Replace(valid, StoreSalt, "blob-v0", 1),
+		"foreign-salt":         strings.Replace(valid, Salt, "memo-v0/other", 1),
+		"bad-cube":             strings.Replace(valid, "\"n\":2", "\"n\":1", 1),
+		"bad-mask":             wrap(`{"salt":"` + Salt + `","n":2,"cover":[{"z":18446744073709551615,"o":18446744073709551615}],"on":[{"z":1,"o":2}],"off":[{"z":2,"o":1}]}`),
+		"flat-record":          string(env.Data),
+		"stage-payload":        wrap(`"a stage payload"`),
+		"trailing-after-valid": valid + valid,
 	} {
-		if err := os.WriteFile(files[0], []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		c := mustCache(t, dir)
-		got, err := c.Minimize(simpleSpec())
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: result differs after recompute", name)
-		}
-		if st := c.Stats(); st.DiskHits != 0 || st.Misses != 1 {
-			t.Errorf("%s: stats = %+v, want a clean miss", name, st)
-		}
+		t.Run(name, func(t *testing.T) {
+			if err := os.WriteFile(files[0], []byte(content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			c := mustCache(t, dir)
+			got, err := c.Minimize(simpleSpec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Error("result differs after recompute")
+			}
+			if st := c.Stats(); st.DiskHits != 0 || st.Misses != 1 {
+				t.Errorf("stats = %+v, want a clean miss", st)
+			}
+		})
 	}
 }
 

@@ -10,9 +10,9 @@ import (
 
 // An hfmin record is one solved problem — a Result, or an infeasibility
 // verdict — in the payload the Store wraps in its envelope for the disk
-// and remote tiers. Cubes are serialized as their raw positional bit
-// masks (logic.Cube.Raw), so a loaded Result is bit-identical to the
-// computed one. Records are strictly validated on load — wrong salt,
+// tier. Cubes are serialized as their raw positional bit masks
+// (logic.Cube.Raw), so a loaded Result is bit-identical to the computed
+// one. Records are strictly validated on load — wrong salt,
 // malformed JSON, out-of-range masks, arity mismatches — and any defect
 // demotes the lookup to a miss; a stored record can cost a recompute but
 // never an incorrect result. A record carries its own Salt inside the

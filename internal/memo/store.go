@@ -11,27 +11,25 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 )
 
-// Store is the one content-addressed cache: a memory→disk→remote chain
-// with singleflight deduplication, strict validation and best-effort
+// Store is the one content-addressed cache: a memory→disk chain with
+// singleflight deduplication, strict validation and best-effort
 // persistence, holding every kind of cached work under SHA-256 content
 // keys. Cache keeps hfmin records in it; the incremental stage engine
 // (internal/stage) keeps its stage results in it through Do — a
 // transformed CDFG, an extracted controller after local transforms, a
 // synthesized logic block. One store may serve both at once, in one
-// directory with one byte cap and one remote tier.
+// directory with one byte cap.
 //
 // A kind chooses, via its BlobCodec, whether its values are serializable:
 // a nil codec keeps them memory-only (useful for results holding live
 // pointers, like transformed graphs), a non-nil codec enables the disk
-// directory and the remote tier. A value is encoded when it is filled
-// only if a disk or remote tier will take the bytes, and the bytes are
-// dropped once handed over: the store keeps values, not encodings, and
-// Export encodes on demand. Payloads on disk and on the wire are
+// directory. A value is encoded when it is filled only if the store has
+// a directory to take the bytes, and the bytes are dropped once
+// written: the store keeps values, not encodings. Payloads on disk are
 // wrapped in a salted envelope, and each kind's payload carries its own
 // validation, so reading a key with another kind's codec is a miss,
 // never a value.
@@ -41,11 +39,9 @@ import (
 // the cache for later jobs. Cache caches minimization verdicts by making
 // them values.
 type Store struct {
-	dir           string
-	remote        Remote
-	remoteTimeout time.Duration
-	cap           *dirCap
-	shards        [numShards]shard
+	dir    string
+	cap    *dirCap
+	shards [numShards]shard
 
 	records family // hfmin records: memo/*, Cache.Stats
 	blobs   family // stage payloads: blob/*, Store.Stats
@@ -60,7 +56,7 @@ const StoreSalt = "blob-v1"
 // SHA-256 hashes, so the first byte shards uniformly.
 const numShards = 16
 
-// BlobCodec serializes one kind's values for the disk and remote tiers.
+// BlobCodec serializes one kind's values for the disk tier.
 // Encode reports ok=false for values that should stay memory-only;
 // Decode reports ok=false on any validation failure, which demotes the
 // record to a miss. Encoded payloads must be valid JSON (they are
@@ -80,7 +76,6 @@ const (
 	SourceComputed Source = iota // ran the compute function
 	SourceMemory                 // in-memory hit (or singleflight wait)
 	SourceDisk                   // loaded from the disk directory
-	SourceRemote                 // filled from the remote tier
 )
 
 func (s Source) String() string {
@@ -91,8 +86,6 @@ func (s Source) String() string {
 		return "memory"
 	case SourceDisk:
 		return "disk"
-	case SourceRemote:
-		return "remote"
 	default:
 		return fmt.Sprintf("source(%d)", int(s))
 	}
@@ -100,13 +93,10 @@ func (s Source) String() string {
 
 // Stats is a snapshot of one kind's lookup counters.
 type Stats struct {
-	Hits          int64 // served from memory
-	Misses        int64 // computed (not found in memory, on disk or remotely)
-	DedupWaits    int64 // blocked on another goroutine computing the same key
-	DiskHits      int64 // loaded from the disk directory
-	RemoteHits    int64 // filled from the remote tier
-	RemoteErrors  int64 // remote fetches that failed or timed out
-	RemoteCorrupt int64 // remote payloads rejected by validation
+	Hits       int64 // served from memory
+	Misses     int64 // computed (not found in memory or on disk)
+	DedupWaits int64 // blocked on another goroutine computing the same key
+	DiskHits   int64 // loaded from the disk directory
 }
 
 // counter is one lookup counter, mirrored to the obs registry.
@@ -122,8 +112,7 @@ func (c *counter) inc() {
 
 // family is one kind's counters, named under its obs prefix.
 type family struct {
-	hits, misses, dedupWaits, diskHits                                  counter
-	remoteHits, remoteMisses, remoteErrors, remoteCorrupt, remoteStores counter
+	hits, misses, dedupWaits, diskHits counter
 }
 
 func (f *family) init(prefix string) {
@@ -131,22 +120,14 @@ func (f *family) init(prefix string) {
 	f.misses.name = prefix + "/misses"
 	f.dedupWaits.name = prefix + "/dedup-waits"
 	f.diskHits.name = prefix + "/disk-hits"
-	f.remoteHits.name = prefix + "/remote/hits"
-	f.remoteMisses.name = prefix + "/remote/misses"
-	f.remoteErrors.name = prefix + "/remote/errors"
-	f.remoteCorrupt.name = prefix + "/remote/corrupt"
-	f.remoteStores.name = prefix + "/remote/stores"
 }
 
 func (f *family) stats() Stats {
 	return Stats{
-		Hits:          f.hits.n.Load(),
-		Misses:        f.misses.n.Load(),
-		DedupWaits:    f.dedupWaits.n.Load(),
-		DiskHits:      f.diskHits.n.Load(),
-		RemoteHits:    f.remoteHits.n.Load(),
-		RemoteErrors:  f.remoteErrors.n.Load(),
-		RemoteCorrupt: f.remoteCorrupt.n.Load(),
+		Hits:       f.hits.n.Load(),
+		Misses:     f.misses.n.Load(),
+		DedupWaits: f.dedupWaits.n.Load(),
+		DiskHits:   f.diskHits.n.Load(),
 	}
 }
 
@@ -159,7 +140,7 @@ type shard struct {
 // waiters block on it (singleflight). aborted marks an entry whose
 // computation failed, was cancelled or panicked: it has been removed from
 // the map, and waiters retry rather than inherit the failure. Only the
-// value is kept; Export encodes it with codec on demand.
+// value is kept, never its encoding.
 type entry struct {
 	done    chan struct{}
 	kind    *family
@@ -168,7 +149,7 @@ type entry struct {
 	aborted bool
 }
 
-// blobRec is the salted on-disk/wire envelope around a codec payload.
+// blobRec is the salted on-disk envelope around a codec payload.
 type blobRec struct {
 	Salt string          `json:"salt"`
 	Data json.RawMessage `json:"data"`
@@ -190,19 +171,6 @@ func NewStore(dir string) (*Store, error) {
 	s.records.init("memo")
 	s.blobs.init("blob")
 	return s, nil
-}
-
-// SetRemote attaches a remote tier consulted between disk and compute,
-// bounded per lookup by timeout (<= 0 selects DefaultRemoteTimeout).
-// Freshly computed values are offered back with Remote.Store. It is not
-// synchronized with in-flight lookups: attach the tier before sharing
-// the store, as the daemon does at startup.
-func (s *Store) SetRemote(r Remote, timeout time.Duration) {
-	if timeout <= 0 {
-		timeout = DefaultRemoteTimeout
-	}
-	s.remote = r
-	s.remoteTimeout = timeout
 }
 
 // Stats returns the lookup counters of the values cached through Do
@@ -240,9 +208,6 @@ func (s *Store) do(ctx context.Context, f *family, key [sha256.Size]byte, codec 
 			v, data, src, err := s.fill(ctx, sh, key, e, compute)
 			if data != nil {
 				s.writeDisk(key, data)
-				if src == SourceComputed {
-					s.storeRemote(f, key, data)
-				}
 			}
 			return v, src, err
 		}
@@ -275,11 +240,10 @@ func (s *Store) do(ctx context.Context, f *family, key [sha256.Size]byte, codec 
 	}
 }
 
-// fill resolves e, the fresh entry this call put under key: from disk,
-// from the remote tier or by computing. It also returns the envelope the
-// caller should persist: the remote bytes of a remote hit, or a computed
-// value encoded now when a disk or remote tier will take it; nil
-// otherwise. A compute that fails vacates the key, and so does a panic,
+// fill resolves e, the fresh entry this call put under key: from disk
+// or by computing. It also returns the envelope the caller should
+// persist, a computed value encoded now when the store has a directory,
+// or nil. A compute that fails vacates the key, and so does a panic,
 // which propagates to par's recovery while the key stays computable;
 // either way e.done closes, so waiters never block forever.
 func (s *Store) fill(ctx context.Context, sh *shard, key [sha256.Size]byte, e *entry, compute func(context.Context) (any, error)) (any, []byte, Source, error) {
@@ -300,13 +264,6 @@ func (s *Store) fill(ctx context.Context, sh *shard, key [sha256.Size]byte, e *e
 			e.val, filled = v, true
 			return v, nil, SourceDisk, nil
 		}
-		// Memory and disk missed; ask the fleet before computing. A hit
-		// is persisted locally too, so a restart keeps it.
-		if v, data, ok := s.loadRemote(ctx, f, key, e.codec); ok {
-			f.remoteHits.inc()
-			e.val, filled = v, true
-			return v, data, SourceRemote, nil
-		}
 	}
 	f.misses.inc()
 	v, err := compute(ctx)
@@ -315,14 +272,14 @@ func (s *Store) fill(ctx context.Context, sh *shard, key [sha256.Size]byte, e *e
 	}
 	e.val, filled = v, true
 	var data []byte
-	if s.dir != "" || s.remote != nil {
+	if s.dir != "" {
 		data, _ = envelope(e.codec, v)
 	}
 	return v, data, SourceComputed, nil
 }
 
-// envelope encodes v with codec into the salted envelope the disk and
-// remote tiers carry; ok is false for memory-only kinds and values.
+// envelope encodes v with codec into the salted envelope the disk tier
+// carries; ok is false for memory-only kinds and values.
 func envelope(codec BlobCodec, v any) ([]byte, bool) {
 	if codec == nil {
 		return nil, false
@@ -388,47 +345,4 @@ func (s *Store) writeDisk(key [sha256.Size]byte, data []byte) {
 		return
 	}
 	s.cap.wrote(len(data))
-}
-
-// Export serializes the store's entry for the hex-encoded key, serving
-// the fleet cache-fill protocol (GET /v1/cache/{key}) for every kind.
-// A completed in-memory entry is encoded now, into the bytes a disk
-// store writes for it; otherwise the disk tier is read. In-flight,
-// aborted, memory-only and absent entries report ok=false. The requester
-// re-validates everything, so disk bytes are returned verbatim.
-func (s *Store) Export(hexKey string) ([]byte, bool) {
-	if s == nil {
-		return nil, false
-	}
-	raw, err := hex.DecodeString(hexKey)
-	if err != nil || len(raw) != sha256.Size {
-		return nil, false
-	}
-	var key [sha256.Size]byte
-	copy(key[:], raw)
-
-	sh := &s.shards[key[0]%numShards]
-	sh.mu.Lock()
-	e, ok := sh.m[key]
-	sh.mu.Unlock()
-	if ok {
-		select {
-		case <-e.done:
-			if e.aborted {
-				break
-			}
-			if data, ok := envelope(e.codec, e.val); ok {
-				return data, true
-			}
-		default: // still being computed
-		}
-	}
-	if s.dir == "" {
-		return nil, false
-	}
-	data, rerr := os.ReadFile(s.path(key))
-	if rerr != nil {
-		return nil, false
-	}
-	return data, true
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -54,6 +55,32 @@ func waitFor(t *testing.T, cond func() bool) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+func hexKey(spec hfmin.Spec, solver logic.Solver) string {
+	k := Key(spec, solver)
+	return hex.EncodeToString(k[:])
+}
+
+// cacheOn returns a cache over a fresh store in dir, and the store, whose
+// stage lookups and byte cap the tests drive.
+func cacheOn(t *testing.T, dir string) (*Cache, *Store) {
+	t.Helper()
+	s, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return OnStore(s), s
+}
+
+// wrap puts a record payload in the store's envelope, as the disk tier
+// carries it.
+func wrap(payload string) string {
+	data, err := json.Marshal(blobRec{Salt: StoreSalt, Data: json.RawMessage(payload)})
+	if err != nil {
+		panic(err)
+	}
+	return string(data)
 }
 
 // TestStoreMemoryTier covers the basic miss-then-hit protocol and the
@@ -111,41 +138,6 @@ func TestStoreDiskTier(t *testing.T) {
 	}
 }
 
-// TestStoreRemoteTier fills from a remote peer and offers computed
-// records back to it.
-func TestStoreRemoteTier(t *testing.T) {
-	remote := &fakeRemote{entries: map[string][]byte{}, stores: map[string][]byte{}}
-	key := blobKey("r")
-	env, _ := json.Marshal(blobRec{Salt: StoreSalt, Data: json.RawMessage(`"from-remote"`)})
-	remote.entries[hex.EncodeToString(key[:])] = env
-
-	s, err := NewStore("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetRemote(remote, 0)
-	v, src, err := s.Do(context.Background(), key, textCodec{}, func(context.Context) (any, error) {
-		t.Fatal("compute ran despite a remote record")
-		return nil, nil
-	})
-	if err != nil || v.(string) != "from-remote" || src != SourceRemote {
-		t.Fatalf("got (%v, %v, %v), want (from-remote, remote, nil)", v, src, err)
-	}
-
-	// A computed record is offered to the remote tier.
-	key2 := blobKey("r2")
-	if _, _, err := s.Do(context.Background(), key2, textCodec{}, func(context.Context) (any, error) {
-		return "local", nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool {
-		remote.mu.Lock()
-		defer remote.mu.Unlock()
-		return len(remote.stores) == 1
-	})
-}
-
 // TestStoreErrorsNeverCached asserts a failed computation vacates the
 // key: the next call recomputes instead of replaying the error.
 func TestStoreErrorsNeverCached(t *testing.T) {
@@ -165,6 +157,41 @@ func TestStoreErrorsNeverCached(t *testing.T) {
 	})
 	if err != nil || v.(string) != "recovered" || src != SourceComputed {
 		t.Fatalf("got (%v, %v, %v), want (recovered, computed, nil)", v, src, err)
+	}
+}
+
+// TestCancelledFillNeverCached: a solve cancelled mid-computation is
+// neither kept in memory nor persisted to disk; the next lookup computes
+// cleanly.
+func TestCancelledFillNeverCached(t *testing.T) {
+	dir := t.TempDir()
+	c, _ := cacheOn(t, dir)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := c.MinimizeCtx(ctx, simpleSpec()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled solve returned %v", err)
+	}
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		t.Fatalf("cancelled fill left %s on disk", filepath.Join(dir, f.Name()))
+	}
+	// The key was vacated: a fresh uncancelled lookup computes and caches.
+	got, err := c.Minimize(simpleSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, _ := hfmin.Minimize(simpleSpec())
+	if !reflect.DeepEqual(got, direct) {
+		t.Fatal("post-cancel result differs from direct solve")
+	}
+	if st := c.Stats(); st.Misses != 2 || st.Hits != 0 {
+		t.Fatalf("stats = %+v, want the cancelled fill and the recompute as misses", st)
+	}
+	if files := jsonFiles(t, dir); len(files) != 1 {
+		t.Fatalf("completed solve left %v on disk, want one record", files)
 	}
 }
 
@@ -208,47 +235,6 @@ func TestStoreSingleflight(t *testing.T) {
 	}
 }
 
-// TestStoreExport serves the encoded envelope for fleet cache fills,
-// from memory and from disk.
-func TestStoreExport(t *testing.T) {
-	dir := t.TempDir()
-	s, err := NewStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := blobKey("exp")
-	hexKey := hex.EncodeToString(key[:])
-	if _, ok := s.Export(hexKey); ok {
-		t.Fatal("Export hit before any record exists")
-	}
-	if _, _, err := s.Do(context.Background(), key, textCodec{}, func(context.Context) (any, error) {
-		return "served", nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	data, ok := s.Export(hexKey)
-	if !ok {
-		t.Fatal("Export missed a stored record")
-	}
-	var rec blobRec
-	if err := json.Unmarshal(data, &rec); err != nil || rec.Salt != StoreSalt {
-		t.Fatalf("exported envelope %s: err %v", data, err)
-	}
-
-	// A fresh store over the same dir serves the record from disk.
-	s2, err := NewStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	disk, ok := s2.Export(hexKey)
-	if !ok || string(disk) != string(data) {
-		t.Fatalf("disk export (%v, %q) differs from memory export %q", ok, disk, data)
-	}
-	if _, ok := s2.Export("zz"); ok {
-		t.Error("Export accepted a malformed key")
-	}
-}
-
 // TestStoreNilSafety: a nil store computes every time and never panics.
 func TestStoreNilSafety(t *testing.T) {
 	var s *Store
@@ -261,9 +247,6 @@ func TestStoreNilSafety(t *testing.T) {
 	if st := s.Stats(); st != (Stats{}) {
 		t.Errorf("nil store stats %+v", st)
 	}
-	if _, ok := s.Export("00"); ok {
-		t.Error("nil store exported a record")
-	}
 }
 
 // TestSourceString covers the Source labels used in logs and tests.
@@ -272,7 +255,6 @@ func TestSourceString(t *testing.T) {
 		SourceComputed: "computed",
 		SourceMemory:   "memory",
 		SourceDisk:     "disk",
-		SourceRemote:   "remote",
 		Source(99):     fmt.Sprintf("source(%d)", 99),
 	} {
 		if got := src.String(); got != want {
@@ -302,8 +284,8 @@ func jsonFiles(t *testing.T, dir string) []string {
 }
 
 // TestSharedStoreOneDirectory: a Cache and a stage-style codec over one
-// store keep both kinds in its one directory, serve both through one
-// Export, and count each lookup under its own kind.
+// store keep both kinds in its one directory, count each lookup under its
+// own kind, and serve each back from disk to a restarted store.
 func TestSharedStoreOneDirectory(t *testing.T) {
 	reg := obs.NewMetrics()
 	obs.SetMetrics(reg)
@@ -339,32 +321,21 @@ func TestSharedStoreOneDirectory(t *testing.T) {
 		t.Errorf("store stats %+v count the hfmin lookup", st)
 	}
 
-	// One Export serves both kinds, and each payload fills a peer's
-	// lookup of its own kind.
-	remote := newFakeRemote()
-	for _, k := range [][sha256.Size]byte{Key(simpleSpec(), logic.SolverBB), bk} {
-		h := hex.EncodeToString(k[:])
-		data, ok := s.Export(h)
-		if !ok {
-			t.Fatalf("key %s did not export", h)
-		}
-		remote.entries[h] = data
-	}
-	peer, ps := cacheOn(t, "")
-	ps.SetRemote(remote, time.Second)
-	got, err := peer.Minimize(simpleSpec())
+	// A restart serves both kinds from the directory.
+	rc, rs := cacheOn(t, dir)
+	got, err := rc.Minimize(simpleSpec())
 	if err != nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("peer fill of the hfmin record = (%+v, %v)", got, err)
+		t.Fatalf("disk fill of the hfmin record = (%+v, %v)", got, err)
 	}
-	v, src, err := ps.Do(context.Background(), bk, textCodec{}, func(context.Context) (any, error) {
-		t.Fatal("stage payload was not filled from the exported bytes")
+	v, src, err := rs.Do(context.Background(), bk, textCodec{}, func(context.Context) (any, error) {
+		t.Fatal("stage payload was not filled from disk")
 		return nil, nil
 	})
-	if err != nil || v.(string) != "stage payload" || src != SourceRemote {
-		t.Fatalf("peer fill of the stage payload = (%v, %v, %v)", v, src, err)
+	if err != nil || v.(string) != "stage payload" || src != SourceDisk {
+		t.Fatalf("disk fill of the stage payload = (%v, %v, %v)", v, src, err)
 	}
-	if peer.Stats().RemoteHits != 1 || ps.Stats().RemoteHits != 1 {
-		t.Errorf("remote hits: cache %+v, store %+v; want one each", peer.Stats(), ps.Stats())
+	if rc.Stats().DiskHits != 1 || rs.Stats().DiskHits != 1 {
+		t.Errorf("disk hits: cache %+v, store %+v; want one each", rc.Stats(), rs.Stats())
 	}
 }
 
@@ -418,12 +389,10 @@ func TestSharedStoreKindsNeverAlias(t *testing.T) {
 	}
 }
 
-// TestMemoryOnlyStoreEncodesOnExport: a store with no disk or remote tier
-// never encodes on fill, yet its Export returns the bytes a disk store
-// writes for the same value; for hfmin records too. A disk store encodes
-// on fill for the disk alone and keeps no bytes, so its Export encodes
-// again.
-func TestMemoryOnlyStoreEncodesOnExport(t *testing.T) {
+// TestMemoryOnlyStoreNeverEncodes: a store with no directory never
+// encodes on fill. A disk store encodes once, for the disk, and writes
+// the value's envelope.
+func TestMemoryOnlyStoreNeverEncodes(t *testing.T) {
 	var encodes atomic.Int64
 	codec := countingCodec{&encodes}
 	key := blobKey("lazy")
@@ -439,69 +408,31 @@ func TestMemoryOnlyStoreEncodesOnExport(t *testing.T) {
 	if n := encodes.Load(); n != 0 {
 		t.Fatalf("memory-only fill encoded %d times", n)
 	}
-	exported, ok := mem.Export(hex.EncodeToString(key[:]))
-	if !ok || encodes.Load() != 1 {
-		t.Fatalf("memory-only Export = %v after %d encodes", ok, encodes.Load())
-	}
 
-	dir := t.TempDir()
-	disk, err := NewStore(dir)
+	disk, err := NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := disk.Do(context.Background(), key, codec, compute); err != nil {
 		t.Fatal(err)
 	}
-	if n := encodes.Load(); n != 2 {
-		t.Fatalf("disk fill encoded %d times, want once", n-1)
+	if n := encodes.Load(); n != 1 {
+		t.Fatalf("disk fill encoded %d times, want once", n)
 	}
-	if written := mustRead(t, disk.path(key)); written != string(exported) {
-		t.Fatalf("memory-only Export %s differs from the disk record %s", exported, written)
-	}
-	// A disk store keeps the value, not the bytes it wrote: Export
-	// encodes again, for a filled entry and for one loaded from disk.
-	if got, ok := disk.Export(hex.EncodeToString(key[:])); !ok || string(got) != string(exported) || encodes.Load() != 3 {
-		t.Fatalf("disk Export = (%s, %v) after %d encodes, want the record encoded once more", got, ok, encodes.Load())
-	}
-	reopened, err := NewStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, src, err := reopened.Do(context.Background(), key, codec, compute); err != nil || src != SourceDisk {
-		t.Fatalf("reopened lookup = (%v, %v), want a disk hit", src, err)
-	}
-	if got, ok := reopened.Export(hex.EncodeToString(key[:])); !ok || string(got) != string(exported) || encodes.Load() != 4 {
-		t.Fatalf("Export after a disk hit = (%s, %v) after %d encodes", got, ok, encodes.Load())
-	}
-
-	c, s := cacheOn(t, "")
-	if _, err := c.Minimize(infeasibleSpec()); !errors.Is(err, hfmin.ErrInfeasible) {
-		t.Fatalf("infeasible spec solved: %v", err)
-	}
-	exported, ok = s.Export(hexKey(infeasibleSpec(), logic.SolverBB))
-	if !ok {
-		t.Fatal("memory-only cache did not export its verdict")
-	}
-	dir = t.TempDir()
-	dc, ds := cacheOn(t, dir)
-	if _, err := dc.Minimize(infeasibleSpec()); !errors.Is(err, hfmin.ErrInfeasible) {
-		t.Fatalf("infeasible spec solved: %v", err)
-	}
-	if written := mustRead(t, ds.path(Key(infeasibleSpec(), logic.SolverBB))); written != string(exported) {
-		t.Fatalf("memory-only record export %s differs from the disk record %s", exported, written)
+	if written, want := mustRead(t, disk.path(key)), wrap(`"value"`); written != want {
+		t.Fatalf("disk record %s, want %s", written, want)
 	}
 }
 
-// TestSharedStoreConcurrent drives both kinds and Export on one store
-// from many goroutines at once (run it under -race): every lookup gets
-// its own kind's value, and each kind's work is computed once.
+// TestSharedStoreConcurrent drives both kinds on one store from many
+// goroutines at once (run it under -race): every lookup gets its own
+// kind's value, and each kind's work is computed once.
 func TestSharedStoreConcurrent(t *testing.T) {
 	c, s := cacheOn(t, t.TempDir())
 	want, err := hfmin.Minimize(simpleSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	hk := Key(simpleSpec(), logic.SolverBB)
 	bk := blobKey("concurrent")
 	const workers = 8
 	var wg sync.WaitGroup
@@ -519,8 +450,6 @@ func TestSharedStoreConcurrent(t *testing.T) {
 			if err != nil || v.(string) != "blob" {
 				t.Errorf("stage lookup = (%v, %v)", v, err)
 			}
-			s.Export(hex.EncodeToString(hk[:]))
-			s.Export(hex.EncodeToString(bk[:]))
 		}()
 	}
 	wg.Wait()

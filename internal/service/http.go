@@ -95,45 +95,6 @@ func (m *Manager) Handler() http.Handler {
 	return mux
 }
 
-// submission is one parsed POST /v1/jobs request.
-type submission struct {
-	level core.Level
-	mode  Mode
-	graph *cdfg.Graph
-}
-
-// parseSubmission reads and validates a submit request; on failure the
-// returned status is non-zero and msg is the client-facing error.
-func parseSubmission(r *http.Request) (sub submission, status int, msg string) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes+1))
-	if err != nil {
-		return sub, http.StatusBadRequest, "reading body: " + err.Error()
-	}
-	if len(body) > maxRequestBytes {
-		return sub, http.StatusRequestEntityTooLarge, "request body exceeds limit"
-	}
-	sub.level = core.OptimizedGTLT
-	if lv := r.URL.Query().Get("level"); lv != "" {
-		parsed, ok := parseLevel(lv)
-		if !ok {
-			return sub, http.StatusBadRequest, "unknown level " + lv
-		}
-		sub.level = parsed
-	}
-	mode, ok := ParseMode(r.URL.Query().Get("mode"))
-	if !ok {
-		return sub, http.StatusBadRequest, "unknown mode " + r.URL.Query().Get("mode") +
-			" (want synth or search)"
-	}
-	sub.mode = mode
-	g, err := decodeSubmission(r.Header.Get("Content-Type"), body)
-	if err != nil {
-		return sub, http.StatusBadRequest, err.Error()
-	}
-	sub.graph = g
-	return sub, 0, ""
-}
-
 // writeSubmitOutcome maps a Submit result onto the HTTP status space. An
 // admitted job is answered with its state at admission (see admitted).
 func writeSubmitOutcome(w http.ResponseWriter, job *Job, err error) {
@@ -150,12 +111,36 @@ func writeSubmitOutcome(w http.ResponseWriter, job *Job, err error) {
 }
 
 func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	sub, status, msg := parseSubmission(r)
-	if status != 0 {
-		writeError(w, status, msg)
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBytes+1))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
 		return
 	}
-	job, err := m.SubmitMode(sub.graph, sub.level, sub.mode)
+	if len(body) > maxRequestBytes {
+		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds limit")
+		return
+	}
+	level := core.OptimizedGTLT
+	if lv := r.URL.Query().Get("level"); lv != "" {
+		parsed, ok := parseLevel(lv)
+		if !ok {
+			writeError(w, http.StatusBadRequest, "unknown level "+lv)
+			return
+		}
+		level = parsed
+	}
+	mode, ok := ParseMode(r.URL.Query().Get("mode"))
+	if !ok {
+		writeError(w, http.StatusBadRequest, "unknown mode "+r.URL.Query().Get("mode")+
+			" (want synth or search)")
+		return
+	}
+	g, err := decodeSubmission(r.Header.Get("Content-Type"), body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	job, err := m.SubmitMode(g, level, mode)
 	writeSubmitOutcome(w, job, err)
 }
 

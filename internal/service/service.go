@@ -51,8 +51,6 @@ package service
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"runtime"
@@ -175,11 +173,6 @@ type Config struct {
 	// latency should stay in interactive range. SearchWaves < 0 scores the
 	// ablation seeds only (a served exploration sweep).
 	SearchWaves, SearchBeam, SearchBudget int
-	// NodeID, when non-empty, suffixes every job ID with "@<NodeID>" so a
-	// fleet peer receiving a poll for a foreign job can route it to the
-	// owning node (see FleetHandler). Single-node deployments leave it
-	// empty and IDs keep their bare "job-000001" form.
-	NodeID string
 }
 
 func (c Config) withDefaults() Config {
@@ -360,12 +353,8 @@ func (m *Manager) SubmitMode(graph *cdfg.Graph, level core.Level, mode Mode) (*J
 		return nil, ErrQueueFull
 	}
 	m.nextID++
-	id := fmt.Sprintf("job-%06d", m.nextID)
-	if m.cfg.NodeID != "" {
-		id += "@" + m.cfg.NodeID
-	}
 	job := &Job{
-		id:     id,
+		id:     fmt.Sprintf("job-%06d", m.nextID),
 		graph:  graph,
 		level:  level,
 		mode:   mode,
@@ -382,27 +371,6 @@ func (m *Manager) SubmitMode(graph *cdfg.Graph, level core.Level, mode Mode) (*J
 	obs.Add("service/jobs_submitted", 1)
 	obs.Set("service/jobs_queued", int64(len(m.queue)))
 	return job, nil
-}
-
-// ContentKey returns the canonical content address of a submission: the
-// SHA-256 (hex) of the codec's deterministic byte-identical encoding of
-// graph together with the optimization level and job mode. Logically
-// identical submissions collide regardless of how the document was
-// produced, which makes the key safe for consistent-hash routing across
-// a fleet. The canonical encoding is returned too, so forwarding nodes
-// relay exactly the bytes they hashed.
-func ContentKey(graph *cdfg.Graph, level core.Level, mode Mode) (key string, canonical []byte, err error) {
-	canonical, err = codec.EncodeGraph(graph)
-	if err != nil {
-		return "", nil, fmt.Errorf("service: content key: %w", err)
-	}
-	h := sha256.New()
-	h.Write(canonical)
-	h.Write([]byte{0})
-	h.Write([]byte(level.String()))
-	h.Write([]byte{0})
-	h.Write([]byte(mode))
-	return hex.EncodeToString(h.Sum(nil)), canonical, nil
 }
 
 // Get returns the job with the given ID.

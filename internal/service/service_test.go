@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -68,11 +70,11 @@ func mustSubmit(t *testing.T, m *Manager, g *cdfg.Graph, level core.Level) *Job 
 	return job
 }
 
-// directDiffeq is the synthesis document of a direct (unserved) DIFFEQ
-// run at the default options: what every served DIFFEQ job must return.
-func directDiffeq(t *testing.T) []byte {
+// directDoc is the synthesis document of a direct (unserved) run of g at
+// the default options: what every served job of g must return.
+func directDoc(t *testing.T, g *cdfg.Graph) []byte {
 	t.Helper()
-	direct, err := core.Run(diffeq.Build(diffeq.DefaultParams()), core.DefaultOptions())
+	direct, err := core.Run(g, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,6 +87,12 @@ func directDiffeq(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	return want
+}
+
+// directDiffeq is directDoc of DIFFEQ.
+func directDiffeq(t *testing.T) []byte {
+	t.Helper()
+	return directDoc(t, diffeq.Build(diffeq.DefaultParams()))
 }
 
 // waitState polls until the job reaches want or the deadline passes.
@@ -198,7 +206,8 @@ func TestBackpressureRejectsBeyondQueueDepth(t *testing.T) {
 // TestCancelFreesWorkersWithoutFailingOthers is the acceptance scenario:
 // of three concurrent jobs, cancelling one releases its pool workers
 // (observed via the par/inflight and service/jobs_running gauges) while
-// the other two run to completion.
+// the other two run to completion, each serving the document of its
+// direct run.
 func TestCancelFreesWorkersWithoutFailingOthers(t *testing.T) {
 	reg := obs.NewMetrics()
 	obs.SetMetrics(reg)
@@ -211,8 +220,9 @@ func TestCancelFreesWorkersWithoutFailingOthers(t *testing.T) {
 	// Three designs share no stage key, so no job waits on another's
 	// stage: each runs its own minimizations, and the victim's own
 	// minimizer must observe the cancellation.
+	graphs := []*cdfg.Graph{diffeq.Build(diffeq.DefaultParams()), gcd.Build(123, 45), fir.Build(fir.DefaultParams())}
 	var jobs []*Job
-	for _, g := range []*cdfg.Graph{diffeq.Build(diffeq.DefaultParams()), gcd.Build(123, 45), fir.Build(fir.DefaultParams())} {
+	for _, g := range graphs {
 		job, err := m.Submit(g, core.OptimizedGTLT)
 		if err != nil {
 			t.Fatal(err)
@@ -253,10 +263,14 @@ func TestCancelFreesWorkersWithoutFailingOthers(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 
-	// The survivors complete once the gate opens.
+	// The survivors complete once the gate opens, and the cancel left
+	// their documents untouched: gateMin hands every spec to hfmin.
 	close(min.gate)
-	for _, job := range []*Job{jobs[0], jobs[2]} {
-		waitState(t, job, StateDone)
+	for _, i := range []int{0, 2} {
+		waitState(t, jobs[i], StateDone)
+		if !bytes.Equal(jobs[i].Result(), directDoc(t, graphs[i])) {
+			t.Fatalf("surviving job %s's document differs from the direct run", jobs[i].ID())
+		}
 	}
 	for reg.Gauge("par/inflight") != 0 {
 		if time.Now().After(deadline) {
@@ -317,6 +331,76 @@ func TestDedupCancelKeepsOtherSubmission(t *testing.T) {
 	}
 	if !bytes.Equal(b.Result(), directDiffeq(t)) {
 		t.Fatal("surviving job's document differs from the direct run")
+	}
+}
+
+// TestDedupConcurrentSubmissions: N identical concurrent submissions are N
+// jobs with N distinct IDs, and the store's singleflight — not the
+// manager — makes them one computation: every job's document is
+// byte-identical to a direct run, and the shared engine misses exactly
+// as often as one cold run.
+func TestDedupConcurrentSubmissions(t *testing.T) {
+	reg := obs.NewMetrics()
+	obs.SetMetrics(reg)
+	defer obs.SetMetrics(nil)
+
+	// The gate holds every job in the pipeline until all N are admitted,
+	// so the two runners' jobs overlap on the same stage keys.
+	min := &gateMin{gate: make(chan struct{})}
+	eng := stage.New(nil)
+	m := New(Config{Concurrency: 2, Parallelism: 2, Minimizer: min, Engine: eng})
+	defer m.Close()
+
+	const n = 8
+	jobs := make([]*Job, n)
+	var wg sync.WaitGroup
+	for i := range jobs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			job, err := m.Submit(diffeq.Build(diffeq.DefaultParams()), core.OptimizedGTLT)
+			if err != nil {
+				t.Errorf("submit %d: %v", i, err)
+				return
+			}
+			jobs[i] = job
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	ids := map[string]bool{}
+	for _, job := range jobs {
+		if ids[job.ID()] {
+			t.Fatalf("job ID %s issued to two submissions", job.ID())
+		}
+		ids[job.ID()] = true
+	}
+	if got := reg.Counter("service/jobs_submitted"); got != n {
+		t.Fatalf("jobs_submitted = %d, want %d", got, n)
+	}
+
+	close(min.gate)
+	want := directDiffeq(t)
+	for _, job := range jobs {
+		<-job.Done()
+		if job.State() != StateDone {
+			t.Fatalf("job %s ended %v (%v), want done", job.ID(), job.State(), job.Err())
+		}
+		if !bytes.Equal(job.Result(), want) {
+			t.Fatalf("job %s's document differs from the direct run", job.ID())
+		}
+	}
+	if got := reg.Counter("service/jobs_completed"); got != n {
+		t.Fatalf("jobs_completed = %d, want %d", got, n)
+	}
+	cold := stage.New(nil)
+	if _, _, err := cold.Run(context.Background(), diffeq.Build(diffeq.DefaultParams()), core.DefaultOptions()); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := eng.Stats().Misses(), cold.Stats().Misses(); got != want {
+		t.Fatalf("engine misses = %d across %d identical jobs, want %d (one cold run)", got, n, want)
 	}
 }
 
@@ -779,6 +863,113 @@ func TestHTTPBackpressureAndCancel(t *testing.T) {
 	decodeBody(t, resp, http.StatusOK, &st)
 	waitState(t, running, StateCancelled)
 	close(min.gate)
+}
+
+// TestEventsEndpoint drives GET /v1/jobs/{id}/events in both transports:
+// long-poll batches carry the queued→running→done lifecycle (plus span
+// events while a tracer is enabled), and the SSE replay of a finished job
+// terminates with the full stream.
+func TestEventsEndpoint(t *testing.T) {
+	tracer := obs.New()
+	tracer.Enable()
+	obs.SetTracer(tracer)
+	defer obs.SetTracer(nil)
+
+	m := New(Config{Concurrency: 1})
+	defer m.Close()
+	ts := httptest.NewServer(m.Handler())
+	defer ts.Close()
+	srv := ts.URL
+
+	doc, err := codec.EncodeGraph(diffeq.Build(diffeq.DefaultParams()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv+"/v1/jobs", "application/json", bytes.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st JobStatus
+	decodeBody(t, resp, http.StatusAccepted, &st)
+
+	var events []Event
+	since := uint64(0)
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		if time.Now().After(deadline) {
+			t.Fatalf("event stream never completed (have %d events)", len(events))
+		}
+		resp, err := http.Get(fmt.Sprintf("%s/v1/jobs/%s/events?poll=1&since=%d&wait=2s", srv, st.ID, since))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var batch eventBatch
+		decodeBody(t, resp, http.StatusOK, &batch)
+		events = append(events, batch.Events...)
+		since = batch.Next
+		if batch.Done {
+			break
+		}
+	}
+	var states []string
+	spans := 0
+	for _, e := range events {
+		switch e.Type {
+		case "state":
+			states = append(states, e.State)
+		case "span":
+			if e.Span == nil {
+				t.Fatal("span event without a span payload")
+			}
+			spans++
+		}
+	}
+	if len(states) == 0 || states[0] != "queued" || states[len(states)-1] != "done" {
+		t.Fatalf("lifecycle events = %v, want queued ... done", states)
+	}
+	if !slices.Contains(states, "running") {
+		t.Fatalf("lifecycle events = %v, missing running", states)
+	}
+	if spans == 0 {
+		t.Fatal("no span events streamed with an enabled tracer")
+	}
+	for i := 1; i < len(events); i++ {
+		if events[i].Seq <= events[i-1].Seq {
+			t.Fatalf("event seqs not strictly increasing: %d then %d", events[i-1].Seq, events[i].Seq)
+		}
+	}
+
+	// SSE replay of the finished job: a finite body carrying every event.
+	resp, err = http.Get(srv + "/v1/jobs/" + st.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
+		t.Fatalf("SSE Content-Type = %q", ct)
+	}
+	body := readAll(t, resp)
+	if !strings.Contains(body, "event: state") || !strings.Contains(body, `"state":"done"`) {
+		t.Fatalf("SSE replay missing lifecycle events:\n%s", body)
+	}
+	if !strings.Contains(body, "event: span") {
+		t.Fatal("SSE replay missing span events")
+	}
+
+	// Error surface: unknown job 404, malformed cursor 400.
+	resp, err = http.Get(srv + "/v1/jobs/job-999999/events?poll=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if readAll(t, resp); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("unknown job events: %d", resp.StatusCode)
+	}
+	resp, err = http.Get(srv + "/v1/jobs/" + st.ID + "/events?since=bogus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if readAll(t, resp); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("malformed since: %d", resp.StatusCode)
+	}
 }
 
 func decodeBody(t *testing.T, resp *http.Response, wantStatus int, v interface{}) {

@@ -45,7 +45,7 @@ type ltDoc struct {
 	Shared      map[string][]string `json:"shared,omitempty"`
 }
 
-// ltCodec serializes ltResult for the disk/remote tiers.
+// ltCodec serializes ltResult for the disk tier.
 type ltCodec struct{}
 
 func (ltCodec) Encode(v any) ([]byte, bool) {
@@ -99,7 +99,7 @@ func (ltCodec) Decode(data []byte) (any, bool) {
 	return lt, true
 }
 
-// synthCodec serializes *synth.Result for the disk/remote tiers.
+// synthCodec serializes *synth.Result for the disk tier.
 type synthCodec struct{}
 
 func (synthCodec) Encode(v any) ([]byte, bool) {

@@ -8,13 +8,12 @@
 // CDFG fingerprint and resolved options for the global stages; the
 // extracted controller's canonical bytes, local.Config key, encoding
 // rung and covering-solver version for the per-controller stages) and
-// stored through internal/memo's memory→disk→remote chain
-// (memo.Store). A re-run after an edit recomputes only the stages whose
-// inputs changed: the per-controller stages are keyed by the extracted
-// machine's content, so an edit that leaves a functional unit's
-// controller byte-identical skips that controller's LT and synthesis
-// outright — including across fleet nodes when the store has a remote
-// tier.
+// stored through internal/memo's memory→disk chain (memo.Store). A
+// re-run after an edit recomputes only the stages whose inputs changed:
+// the per-controller stages are keyed by the extracted machine's
+// content, so an edit that leaves a functional unit's controller
+// byte-identical skips that controller's LT and synthesis outright —
+// including across a restart when the store has a directory.
 //
 // # Correctness model
 //

@@ -1,4 +1,4 @@
-// Serialization of synthesis results, the disk/remote payload format the
+// Serialization of synthesis results, the disk payload format the
 // incremental stage engine (internal/stage) caches per-controller synth
 // outcomes in. Living in this package keeps FuncResult's unexported
 // exactness bit round-trippable without widening the public API.

@@ -7,8 +7,8 @@ import (
 
 // TestResultCodecRoundTrip synthesizes a real controller and asserts the
 // serialized result decodes back to a deep-equal value with a
-// byte-identical re-encoding — the property the stage cache's disk and
-// remote tiers rely on.
+// byte-identical re-encoding — the property the stage cache's disk tier
+// relies on.
 func TestResultCodecRoundTrip(t *testing.T) {
 	res, err := Synthesize(handshakeMachine())
 	if err != nil {

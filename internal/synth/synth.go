@@ -319,7 +319,7 @@ func synthesizeWith(ctx context.Context, c *Concrete, reach []int, enc map[int]u
 	// combination there is a don't-care, and the minimized cover is free to
 	// fire arbitrary outputs or drop state bits once the final handshake's
 	// unobserved ack falls — or a late wire edge from a still-running
-	// peer — land after the machine has stopped. Each one gets an explicit
+	// neighbour controller — land after the machine has stopped. Each one gets an explicit
 	// hold face instead: every function frozen at its resting value across
 	// the state's whole input space.
 	hasOut := map[int]bool{}

@@ -47,10 +47,7 @@ go test -run '^Test(GoldenSynthesis|IndentMatchesStdlib|EncodersMatchMarshalInde
 go test -run '^Test(MinimalHittingSets|ExpansionsMatchReference|ExpansionsTruncatedPrefix|PrimesContainingMatchesReference|PrimesContainingTruncated|MaximalMatchesBruteForce|MaximalFullArity|CubeIndexMatchesScan|SolvePinned|SortRowsMatchesSortFunc)$' -count=1 ./internal/logic
 go test -run '^Test(DHFPrimesMatchReference|DHFPrimesMatchLenientRungs|FIRBaselineSpecCover|FeasibleMatchesMinimize|AnalyzeMatchesReference|CanonicalSorts|StrictRungOutcomes|EqualCodesSameOutcome|EncoderMatchesReference|VerilogMatchesConcretizedRenderer|VerilogRendersOnce|HypercubeEncodeOddCycles|ColdSynthAllocs|StoreRecordsPinned|WarmServedAllocs|ShareSignalsFixedOrder|SearchRecordsPinned|WorkCountersPinned|RandomSpecsMemoEqualsDirect|ScratchReuse|SpanDisabledAllocs|ReachRemoveArcMatchesRebuild)$' -count=1 ./internal/hfmin ./internal/synth ./internal/stage ./internal/local ./internal/search ./internal/memo ./internal/obs ./internal/cdfg .
 echo "== go test -race"
-# 20m: the default 10m per-package budget is too tight for
-# internal/search under the race detector once the loadtest package's
-# exec'd daemon fleets compete for the same cores.
-go test -race -timeout 20m ./...
+go test -race ./...
 echo "== docs: every examples/*.adl compiles and round-trips byte-identically"
 go test -race -run 'TestCompileEmbeddedExamples' -count=1 ./internal/frontend
 for adl in examples/*.adl; do
@@ -151,23 +148,16 @@ go test -race -run 'TestParallelRunEquivalence' -count=1 .
 echo "== gate-level closure (synthesized logic verified on every registry"
 echo "   benchmark, including the formerly-failing FIR and AR; the token,"
 echo "   controller- and gate-level simulators' output on the registry and"
-echo "   gen seeds 1-40 against testdata/sim_traces.txt)"
-go test -race -run 'TestGateClosureRegistry|TestSimulatorTraces' -count=1 ./internal/bench
+echo "   gen seeds 1-40 against testdata/sim_traces.txt; gen seeds 0-199 at"
+echo "   GT and GT+LT close at controller and gate level or fail loudly,"
+echo "   except the known silently wrong runs, a list that may only shrink)"
+go test -race -run 'TestGateClosureRegistry|TestSimulatorTraces|TestGenCorpusClosesOrFails' -count=1 ./internal/bench
 echo "== rewrite search smoke (DIFFEQ, bounded profile)"
 go run ./cmd/asyncsynth search diffeq -waves 1 -budget 16
 echo "== covering worst-case benchmarks"
 go test -run '^$' -bench 'BenchmarkCoveringWorstCase|BenchmarkMinimizeWorstCase' \
 	-benchtime 20x ./internal/logic ./internal/hfmin
-echo "== incremental smoke (edit one FU of DIFFEQ, warm re-run must skip"
-echo "   cached stages and stay byte-identical to a cold run)"
-go run ./scripts/incrbench -bench diffeq
 echo "== incremental equivalence (engine warm runs bit-identical to cold"
 echo "   pipeline runs on every benchmark + generated corpus)"
 go test -race -run 'TestIncrementalBenchmarkEdits|TestIncrementalDiskWarmStart|TestHTTPPatchEndToEnd' -count=1 . ./internal/service
-echo "== fleet smoke (3 asyncsynthd nodes: submit via one node, identical"
-echo "   result from every node, kill the owning node mid-run, re-verify"
-echo "   through a survivor)"
-go test -race -run 'TestFleetSmoke' -count=1 ./internal/loadtest
-echo "== fleet sustained-load sample (3 nodes via scripts/loadgen)"
-go run ./scripts/loadgen -nodes 3 -gen 0 -clients 4
 echo "== verify: OK"
