@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -17,7 +18,7 @@ import (
 )
 
 // refDHFPrimes is the dhf-prime generation dhfPrimes replaced, kept as
-// the ordering oracle: the primes of the required cubes (their expansions
+// the oracle: the primes of the required cubes (the expansions of each
 // against the OFF-set, filtered by refMaximal), then every legal cube of
 // the shrink recursion, deduplicated by a seen map and filtered by
 // refMaximal. It also reports the number of distinct shrinks the
@@ -26,7 +27,7 @@ import (
 func refDHFPrimes(required []logic.Cube, off logic.Cover, priv []hfmin.Privileged) (primes []logic.Cube, shrinks int, pruned bool) {
 	var exps []logic.Cube
 	for _, r := range required {
-		exps = append(exps, logic.Expansions(r, off)...)
+		exps = append(exps, logic.PrimesContaining([]logic.Cube{r}, off)...)
 	}
 	all := refMaximal(exps)
 	legalCube := func(p logic.Cube) bool {
@@ -80,7 +81,7 @@ func refDHFPrimes(required []logic.Cube, off logic.Cover, priv []hfmin.Privilege
 
 // refMaximal is the maximality filter dhfPrimes used before the
 // containment index. It keeps the first occurrence of every cube not
-// strictly contained in another cube of the list, in input order:
+// strictly contained in another cube of the list, in logic.Compare order:
 // visiting the cubes by ascending literal count (a container has fewer
 // literals), it tests each against every maximal cube found so far.
 // Testing each cube against every other, as internal/logic's reference
@@ -115,6 +116,7 @@ func refMaximal(cubes []logic.Cube) []logic.Cube {
 			out = append(out, c)
 		}
 	}
+	slices.SortFunc(out, logic.Compare)
 	return out
 }
 
@@ -202,9 +204,10 @@ func (r *specRecorder) Minimize(spec hfmin.Spec) (hfmin.Result, error) {
 }
 
 // TestDHFPrimesMatchReference pins the dhf-prime list, element for element
-// and in order, against the reference on seeded random specs, on both
-// worst-case fixtures and on every spec the registry designs pose. The
-// order sets the covering columns and so the chosen covers.
+// and in logic.Compare order, against the reference on seeded random
+// specs, on both worst-case fixtures and on every spec the registry
+// designs pose. The order sets the covering columns and so the chosen
+// covers.
 func TestDHFPrimesMatchReference(t *testing.T) {
 	t.Run("random", func(t *testing.T) {
 		r := rand.New(rand.NewSource(7))
@@ -225,7 +228,7 @@ func TestDHFPrimesMatchReference(t *testing.T) {
 		}
 		t.Logf("%d specs compared, %d with shrinks, %d with shrinks inside a legal prime", compared, withShrinks, pruned)
 		// Pruning must fire, and so must shrinks it leaves alone, or the
-		// comparison would not exercise the order argument.
+		// comparison would not exercise the pruning argument.
 		if compared < 250 || withShrinks < 150 || pruned < 150 {
 			t.Fatalf("%d specs compared, %d with shrinks, %d with shrinks inside a legal prime; want at least 250, 150, 150",
 				compared, withShrinks, pruned)

@@ -159,9 +159,10 @@ func TestFeasibleMatchesMinimize(t *testing.T) {
 	})
 }
 
-// TestDHFPrimesMatchLenientRungs pins the dhf-prime list, in order,
-// against the reference (as TestDHFPrimesMatchReference does) on every
-// spec the lenient encoding rungs pose (lenientRungSpecs). Strict
+// TestDHFPrimesMatchLenientRungs pins the dhf-prime list, in
+// logic.Compare order, against the reference (as
+// TestDHFPrimesMatchReference does) on every spec the lenient encoding
+// rungs pose (lenientRungSpecs). Strict
 // attempts that Feasible refutes pose nothing, so the full ladder no
 // longer poses a binary-encoded or an infeasible spec on the registry
 // designs; these rungs still pose both.

@@ -114,25 +114,17 @@ func (s Spec) Canonical() Spec {
 	return Spec{N: s.N, Transitions: ts}
 }
 
-// transCompare is the total order behind Canonical: kind first, then the
-// raw cube keys of start and end. Distinct transitions never compare
+// transCompare is the total order behind Canonical: kind first, then
+// start and end in logic.Compare order. Distinct transitions never compare
 // equal, so every sort of a spec's transitions gives one order.
 func transCompare(a, b Transition) int {
 	if c := cmp.Compare(a.Kind, b.Kind); c != 0 {
 		return c
 	}
-	if c := compareKeys(a.Start.Key(), b.Start.Key()); c != 0 {
+	if c := logic.Compare(a.Start, b.Start); c != 0 {
 		return c
 	}
-	return compareKeys(a.End.Key(), b.End.Key())
-}
-
-// compareKeys orders cube keys by their zero mask, then their one mask.
-func compareKeys(a, b [2]uint64) int {
-	if c := cmp.Compare(a[0], b[0]); c != 0 {
-		return c
-	}
-	return cmp.Compare(a[1], b[1])
+	return logic.Compare(a.End, b.End)
 }
 
 // Result reports details of a minimization.
@@ -349,7 +341,7 @@ var ErrInfeasible = errors.New("hfmin: specification has no hazard-free cover")
 // two-level cover of the specification, using exact branch-and-bound
 // covering.
 func Minimize(spec Spec) (Result, error) {
-	return minimize(context.Background(), spec)
+	return minimize(context.Background(), spec, false)
 }
 
 // MinimizeCtx is Minimize with cooperative cancellation: the context is
@@ -359,7 +351,7 @@ func Minimize(spec Spec) (Result, error) {
 // minimization promptly. A cancelled call returns ctx.Err(); partial
 // results are discarded, never cached (see internal/memo).
 func MinimizeCtx(ctx context.Context, spec Spec) (Result, error) {
-	return minimize(ctx, spec)
+	return minimize(ctx, spec, false)
 }
 
 // Covering derives the unate covering problem behind a spec's exact
@@ -370,14 +362,32 @@ func MinimizeCtx(ctx context.Context, spec Spec) (Result, error) {
 // callers configure both. Exported for the covering benchmarks and the
 // worst-case capture tool (scripts/capturecover).
 func Covering(spec Spec) (Result, *logic.CoveringProblem, error) {
+	return covering(spec, false)
+}
+
+// covering derives Covering's problem, or with plain set MinimizePlain's:
+// the distinct ON cubes as the rows, every prime that contains one as
+// the columns, and no privileged cubes.
+func covering(spec Spec, plain bool) (Result, *logic.CoveringProblem, error) {
 	res, err := Analyze(spec)
 	if err != nil {
 		return res, nil, err
 	}
+	if plain {
+		res.Required = nil
+		for _, c := range res.OnSet.Cubes {
+			res.Required = addRequired(res.Required, c)
+		}
+	}
 	if len(res.Required) == 0 {
 		return res, &logic.CoveringProblem{}, nil
 	}
-	res.Primes = dhfPrimes(res.Required, res.OffSet, res.Privileged)
+	if plain {
+		res.Privileged = nil
+		res.Primes = logic.PrimesContaining(res.Required, res.OffSet)
+	} else {
+		res.Primes = dhfPrimes(res.Required, res.OffSet, res.Privileged)
+	}
 	prob := &logic.CoveringProblem{NumCols: len(res.Primes)}
 	prob.Cost = make([]int, len(res.Primes))
 	const productWeight = 1 << 12 // lexicographic: products dominate literals
@@ -470,7 +480,7 @@ func (m *matrix) put() {
 //
 // Both hold for every required cube, so the first failing one, and with
 // it the error text, is Covering's too. The argument assumes that
-// logic.Expansions did not truncate r's expansions at
+// logic.PrimesContaining did not truncate r's expansions at
 // logic.MaxExpansions, which could drop the prime containing c.
 // Synthesizing the registry designs and gen seeds 0–59, and searching
 // diffeq and fir, truncates no enumeration (logic/hs-truncated reads 0
@@ -497,8 +507,10 @@ func Feasible(spec Spec) error {
 	return nil
 }
 
-func minimize(ctx context.Context, spec Spec) (Result, error) {
-	res, prob, err := Covering(spec)
+// minimize solves covering's problem for spec exactly, within the
+// covering search's step budget.
+func minimize(ctx context.Context, spec Spec, plain bool) (Result, error) {
+	res, prob, err := covering(spec, plain)
 	if err != nil {
 		return res, err
 	}
@@ -530,14 +542,16 @@ func minimize(ctx context.Context, spec Spec) (Result, error) {
 
 // dhfPrimes generates the dynamic-hazard-free prime implicants relevant to
 // covering the required cubes: maximal implicants (disjoint from the
-// OFF-set) with no illegal intersection with any privileged cube. Their
-// order sets the covering columns and so the covering tie-breaks.
+// OFF-set) with no illegal intersection with any privileged cube, in
+// logic.Compare order. Their order sets the covering columns and so the
+// covering tie-breaks, and it depends only on the set of primes: the
+// result is either Maximal's, or a subsequence of PrimesContaining's.
 //
 // Each prime is emitted if legal; an illegal one is shrunk away from the
 // privileged cube it intersects, one more variable bound per shrink, and
 // the shrinks are emitted the same way, depth first. A shrink that lies
 // inside a legal prime is skipped, together with every shrink below it.
-// This changes no element and no order of the result:
+// This changes no element of the result:
 //   - Such a shrink is never maximal. It lies strictly inside the prime it
 //     was shrunk from, so it is not a prime itself (no prime contains
 //     another), and it lies inside a legal prime P, hence strictly inside.
@@ -548,8 +562,7 @@ func minimize(ctx context.Context, spec Spec) (Result, error) {
 //   - The test depends only on the cube, not on when the walk visits it.
 //     A skipped cube is skipped on every visit, and every cube below it
 //     lies inside P, so it is skipped wherever the walk meets it. So the
-//     other cubes are visited, and emitted, in the order in which the
-//     unpruned walk first visited them.
+//     walk visits every other cube the unpruned walk visited.
 //
 // Primes themselves are never skipped: a legal prime lies inside itself.
 //
@@ -563,8 +576,7 @@ func minimize(ctx context.Context, spec Spec) (Result, error) {
 //     depend on when its cubes were filed. So it is built on the walk's
 //     first shrink, and a spec whose primes are all legal builds none.
 //   - Without a legal shrink the output is the legal primes, distinct and
-//     pairwise non-containing, in the primes' order, which is what
-//     Maximal would return.
+//     pairwise non-containing, so Maximal would keep every one.
 func dhfPrimes(required []logic.Cube, off logic.Cover, priv []Privileged) []logic.Cube {
 	primes := logic.PrimesContaining(required, off)
 	w := walks.Get().(*walk)

@@ -68,7 +68,7 @@ import (
 // entries from older minimizers are ignored rather than replayed. The
 // covering solvers version themselves through logic.SolverVersion, which
 // Key folds in alongside this salt.
-const Salt = "memo-v1/hfmin-v1"
+const Salt = "memo-v1/hfmin-v2"
 
 // Cache memoizes hfmin.Minimize as hfmin records in a Store. The zero value is not usable; call New or OnStore.
 // A nil *Cache is a valid pass-through that memoizes nothing.

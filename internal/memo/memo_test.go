@@ -70,7 +70,7 @@ func TestKeyOrderIndependent(t *testing.T) {
 // up here rather than orphan every stored entry.
 func TestKeyGolden(t *testing.T) {
 	for solver, want := range map[logic.Solver]string{
-		logic.SolverBB: "1d0c50241e8589d675e70a7dc90a2748e1f6b4ea1f6c57a55a545cb0f58f3fea",
+		logic.SolverBB: "a032f184eb55130612516fa80d1c843e08158383028d8cc4505704d922177898",
 	} {
 		if got := hexKey(simpleSpec(), solver); got != want {
 			t.Errorf("Key(simpleSpec, %v) = %s, want %s", solver, got, want)

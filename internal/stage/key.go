@@ -18,7 +18,7 @@ import (
 // pipelines are recomputed rather than replayed. The covering solvers
 // version themselves through logic.SolverVersion, folded into the synth
 // stage key separately.
-const Salt = "stage-v1"
+const Salt = "stage-v2"
 
 // stageKey hashes a stage kind plus its length-prefixed canonical input
 // parts into a content key. The length prefixes keep distinct part

@@ -1,7 +1,6 @@
 package synth
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -385,10 +384,10 @@ func synthesizeWith(ctx context.Context, c *Concrete, reach []int, enc map[int]u
 	// (specOf). Any sort will do: two traversals with equal cubes yield a
 	// function either different kinds or one transition twice.
 	slices.SortFunc(travs, func(a, b traversal) int {
-		if c := cubeCompare(a.start, b.start); c != 0 {
+		if c := logic.Compare(a.start, b.start); c != 0 {
 			return c
 		}
-		return cubeCompare(a.end, b.end)
+		return logic.Compare(a.end, b.end)
 	})
 
 	// specOf builds function i's hazard-free minimization spec in
@@ -816,16 +815,6 @@ func changes(start, end logic.Cube) bool {
 		}
 	}
 	return false
-}
-
-// cubeCompare orders cubes by their zero mask, then their one mask: the
-// order hfmin's canonical form puts on the cubes of one kind.
-func cubeCompare(a, b logic.Cube) int {
-	ak, bk := a.Key(), b.Key()
-	if c := cmp.Compare(ak[0], bk[0]); c != 0 {
-		return c
-	}
-	return cmp.Compare(ak[1], bk[1])
 }
 
 // Summary renders one controller's result as a Figure 13 row.
